@@ -546,9 +546,7 @@ def _dispatch(args) -> Tuple[str, int]:
 
     if command == "jets":
         request.update(q=args.q, module=args.module)
-        inner = ring_as_module(ring) if args.module == "ring" \
-            else omega_presentation(ring, args.q)
-        m = jq_presentation(inner, args.q)
+        m = _select_module(ring, args.q, "jets:" + args.module)
         return _emit(args, request, presentation_text(m),
                      presentation_document(m)), 0
 

@@ -26,6 +26,7 @@ from .groebner import FreeElement, NoSolution, nf_poly, prune_rows, solve_linear
 from .presentations import (
     ModuleMap,
     Presentation,
+    _row_degree,
     direct_sum,
     ring_as_module,
     symmetric_square,
@@ -187,6 +188,19 @@ def jet_expand(h: Polynomial, ring: RingSpec, q: int, inner_index: int,
     return tuple(out)
 
 
+def _jet_of_element(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
+    """Coordinates of the q-jet of an element of R^k: the sum of the
+    jet_expand of each nonzero entry at its own inner index."""
+    k = len(element)
+    out = tuple(ring.zero() for _ in range(len(_jet_monomials(ring, q)) * k))
+    for t, entry in enumerate(element):
+        if entry.is_zero():
+            continue
+        part = jet_expand(entry, ring, q, t, k)
+        out = tuple(a + b for a, b in zip(out, part))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # module presentations
 
@@ -239,24 +253,16 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
         degrees = tuple(m.degrees[t] + _wdeg(beta, ring.weights)
                         for beta in betas for t in range(k))
     rows: List[FreeElement] = []
-    rank = len(gens)
-    zero_row = tuple(ring.zero() for _ in range(rank))
     for r in m.relations:
         for gamma in betas:
             mono = Polynomial.monomial(ring.variables, gamma)
-            row = zero_row
-            for t, entry in enumerate(r):
-                if entry.is_zero():
-                    continue
-                part = jet_expand(mono * entry, ring, q, t, k)
-                row = tuple(a + b for a, b in zip(row, part))
-            rows.append(row)
+            rows.append(_jet_of_element(tuple(mono * e for e in r), ring, q))
     for f in ring.ideal:
         for t in range(k):
             for gamma in betas:
                 mono = Polynomial.monomial(ring.variables, gamma)
                 rows.append(jet_expand(mono * f, ring, q, t, k))
-    rows = prune_rows(rows, rank, ring)
+    rows = prune_rows(rows, len(gens), ring)
     return Presentation(ring, gens, tuple(rows), degrees)
 
 
@@ -320,17 +326,10 @@ def theta_to_jets(ring: RingSpec, q: int) -> ModuleMap:
     source = omega_presentation(ring, 2 * q)
     inner = omega_presentation(ring, q)
     target = jq_presentation(inner, q)
-    inner_count = inner.ngens
     cols = []
     for alpha in DeltaBasis(ring, 2 * q).monomials:
         r = delta_expand(Polynomial.monomial(ring.variables, alpha), ring, q)
-        col = tuple(ring.zero() for _ in range(target.ngens))
-        for pos, entry in enumerate(r):
-            if entry.is_zero():
-                continue
-            part = jet_expand(entry, ring, q, pos, inner_count)
-            col = tuple(a + b for a, b in zip(col, part))
-        cols.append(tuple(nf_poly(c, ring) for c in col))
+        cols.append(tuple(nf_poly(c, ring) for c in _jet_of_element(r, ring, q)))
     return ModuleMap(source, target, tuple(cols))
 
 
@@ -598,20 +597,6 @@ def _monomials_upto(variables: Tuple[str, ...], bound: int) -> List[ExpVec]:
             if sum(e) <= bound]
 
 
-def _row_weight(row: Sequence[Polynomial], gen_weights: Sequence[int],
-                weights: Tuple[int, ...]) -> Optional[int]:
-    """Common weighted degree of a homogeneous row, or None."""
-    deg = None
-    for entry, g in zip(row, gen_weights):
-        if entry.is_zero():
-            continue
-        h = entry.homogeneous_degree(weights)
-        if h is None or (deg is not None and deg != h + g):
-            return None
-        deg = h + g
-    return deg
-
-
 def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
                                 degree_bound: int = 6) -> bool:
     """Brute-force existence check by undetermined coefficients.
@@ -652,9 +637,9 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     row_degrees: List[Optional[int]] = []
     sym_degrees: List[Optional[int]] = []
     if graded:
-        row_degrees = [_row_weight(m, omega.degrees, weights)
+        row_degrees = [_row_degree(m, omega.degrees, weights)
                        for m in omega.relations]
-        sym_degrees = [_row_weight(l, pair_weight, weights)
+        sym_degrees = [_row_degree(l, pair_weight, weights)
                        for l in sym.relations]
         if None in row_degrees or None in sym_degrees:
             graded = False

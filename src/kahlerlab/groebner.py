@@ -17,6 +17,12 @@ Submodules over a quotient ring R = P/I are handled by the augmentation
 convention: add f*e_k for every ideal generator f and unit vector e_k,
 compute over P, and project/reduce afterwards.  The helpers with
 ``_over_ring`` in their name package that convention.
+
+Each engine step has one implementation: `_reduce` is the reduction loop
+of Buchberger, of normal forms and of the tracked reduction in
+`solve_linear`; `_syzygy_rows` turns tracked syzygies into rows for both
+`syzygies` and `syzygies_over_ring`; `prune_rows` is the greedy pruner of
+every presentation, kernels included.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import ExpVec, MonomialOrder, Polynomial
 from .parser import RingSpec
@@ -331,6 +337,29 @@ def normal_form(value, basis: SubmoduleBasis):
     return basis.normal_form(value)
 
 
+def _syzygy_rows(raw: List[Vec], t: int, width: int,
+                 variables: Tuple[str, ...],
+                 clean: Callable[[FreeElement], FreeElement],
+                 order: MonomialOrder) -> List[FreeElement]:
+    """Tracked syzygies as rows: cut to the first t slots, passed through
+    `clean`, zero rows dropped, deduplicated, sorted by descending lead."""
+    rows: List[FreeElement] = []
+    seen = set()
+    for vec in raw:
+        row = clean(_vec_to_row(vec, width, variables)[:t])
+        if all(p.is_zero() for p in row):
+            continue
+        key = tuple(tuple(sorted(p.terms.items())) for p in row)
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(row)
+    rows.sort(key=lambda r: _term_key(
+        max(_row_to_vec(r), key=lambda term: _term_key(term, order)), order),
+        reverse=True)
+    return rows
+
+
 def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
     """Generators of the first syzygy module of basis.generators.
 
@@ -342,25 +371,17 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
         return SubmoduleBasis((), basis.order, rank=0, variables=basis.variables)
     inputs = [_row_to_vec(r) for r in gens]
     _, raw = _buchberger(inputs, basis.order, basis.rank, track=True)
-    rows: List[FreeElement] = []
-    seen = set()
-    for vec in raw:
-        row = _vec_to_row(vec, len(gens), basis.variables)
-        if all(p.is_zero() for p in row):
-            continue
+
+    def vanishes(row: FreeElement) -> FreeElement:
         combo = None
         for coeff, gen in zip(row, gens):
             part = tuple(coeff * g for g in gen)
             combo = part if combo is None else tuple(a + b for a, b in zip(combo, part))
         assert all(p.is_zero() for p in combo), "tracked syzygy failed to vanish"
-        key = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-    rows.sort(key=lambda r: _term_key(
-        max(_row_to_vec(r), key=lambda t: _term_key(t, basis.order)), basis.order),
-        reverse=True)
+        return row
+
+    rows = _syzygy_rows(raw, len(gens), len(gens), basis.variables, vanishes,
+                        basis.order)
     return SubmoduleBasis(rows, basis.order, rank=len(gens),
                           variables=basis.variables)
 
@@ -413,23 +434,9 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
     items = rows + _ideal_unit_rows(rank, ring)
     inputs = [_row_to_vec(r) for r in items]
     _, raw = _buchberger(inputs, ring.order(), rank, track=True)
-    out: List[FreeElement] = []
-    seen = set()
-    for vec in raw:
-        full = _vec_to_row(vec, len(items), ring.variables)
-        row = tuple(nf_poly(p, ring) for p in full[:t])
-        if all(p.is_zero() for p in row):
-            continue
-        key = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    order = ring.order()
-    out.sort(key=lambda r: _term_key(
-        max(_row_to_vec(r), key=lambda t_: _term_key(t_, order)), order),
-        reverse=True)
-    return out
+    return _syzygy_rows(raw, t, len(items), ring.variables,
+                        lambda row: tuple(nf_poly(p, ring) for p in row),
+                        ring.order())
 
 
 def row_lead_key(row: FreeElement, ring: RingSpec):
@@ -446,22 +453,27 @@ def row_lead_key(row: FreeElement, ring: RingSpec):
     return _term_key(max(vec, key=lambda t: _term_key(t, order)), order)
 
 
-def prune_rows(rows: Sequence[FreeElement], rank: int,
-               ring: RingSpec) -> List[FreeElement]:
-    """Greedy prune: drop rows already in the span of the kept ones over R."""
+def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
+               base: Sequence[FreeElement] = ()) -> List[FreeElement]:
+    """Greedy prune: drop rows already in the span over R of `base` and the
+    rows kept before them.
+
+    `base` holds rows already known to lie in the module (a presentation's
+    relations, say); they are never returned.  This loop rebuilds the
+    ideal-augmented basis after every kept row; it is the one place an
+    incremental basis would replace that rebuild.
+    """
+    base = list(base)
     kept: List[FreeElement] = []
-    basis: Optional[SubmoduleBasis] = None
+    basis = submodule_over_ring(base, rank, ring) if base or ring.ideal else None
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
         if all(p.is_zero() for p in row):
             continue
-        if basis is None:
-            if ring.ideal and submodule_over_ring([], rank, ring).contains(row):
-                continue
-        elif basis.contains(row):
+        if basis is not None and basis.contains(row):
             continue
         kept.append(row)
-        basis = submodule_over_ring(kept, rank, ring)
+        basis = submodule_over_ring(kept + base, rank, ring)
     return kept
 
 
@@ -512,31 +524,15 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
         by_pos.setdefault(e.lead[0], []).append(i)
     work = _row_to_vec(_as_row(b, nrows))
     acc: Vec = {}
-    remainder: Vec = {}
-    while work:
-        term = max(work, key=lambda t: _term_key(t, order))
-        pos, exps = term
-        reducer = None
-        for idx in by_pos.get(pos, ()):
-            g = elements[idx]
-            if _divides(g.lead[1], exps):
-                reducer = g
-                break
-        if reducer is None:
-            remainder[term] = work.pop(term)
-            continue
-        coeff = work[term] / reducer.lc
-        shift = tuple(a - b_ for a, b_ in zip(exps, reducer.lead[1]))
-        _vec_submul(work, coeff, shift, reducer.vec)
-        _vec_submul(acc, -coeff, shift, reducer.expr)
+    remainder = _reduce(work, acc, elements, by_pos, order)
     if remainder:
         return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
-    track_rank = len(nonzero_idx)
-    tracked = _vec_to_row(acc, track_rank, ring.variables)
+    # _reduce subtracts from acc, so acc now expresses -b
+    tracked = _vec_to_row(acc, len(nonzero_idx), ring.variables)
     solution = [zero] * ncols
     for local, original in enumerate(nonzero_idx):
         if original < ncols:
-            solution[original] = nf_poly(tracked[local], ring)
+            solution[original] = nf_poly(-tracked[local], ring)
     return Solution(tuple(solution))
 
 

@@ -305,17 +305,6 @@ class Polynomial:
         return "Polynomial(%s)" % format_polynomial(self)
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact add/sub/mul; the two inputs must share one variable list."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)
-
-
 def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynomial:
     """Exact iterated partial derivative d^order h / d x_{var_index}^order."""
     if not 0 <= var_index < len(h.variables):

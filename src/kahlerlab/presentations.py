@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial
@@ -191,13 +192,8 @@ def kernel(f: ModuleMap) -> Tuple[Presentation, ModuleMap]:
     else:
         items = list(f.columns) + list(tgt.relations)
         syz = syzygies_over_ring(items, tgt.ngens, ring)
-        raw = [tuple(nf_poly(p, ring) for p in row[:ncols]) for row in syz]
-    # keep only rows adding something beyond earlier rows + source relations
-    gens: List[FreeElement] = []
-    for row in raw:
-        basis = submodule_over_ring(gens + list(src.relations), ncols, ring)
-        if not basis.contains(row):
-            gens.append(row)
+        raw = [row[:ncols] for row in syz]
+    gens = prune_rows(raw, ncols, ring, base=src.relations)
     labels = tuple(PlainLabel("k%d" % i) for i in range(len(gens)))
     if not gens:
         k = Presentation(ring, (), (), ())
@@ -344,35 +340,39 @@ def rank(m: Presentation) -> int:
     if not rows or m.ngens == 0:
         return m.ngens
     nrows, ncols = len(rows), m.ngens
-    ring = m.ring
     cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial] = {}
-
-    def det(ridx: Tuple[int, ...], cidx: Tuple[int, ...]) -> Polynomial:
-        if len(ridx) == 1:
-            return nf_poly(rows[ridx[0]][cidx[0]], ring)
-        key = (ridx, cidx)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        total = ring.zero()
-        rest = ridx[1:]
-        for pos, c in enumerate(cidx):
-            entry = rows[ridx[0]][c]
-            if not entry.is_zero():
-                sub = det(rest, cidx[:pos] + cidx[pos + 1:])
-                term = entry * sub
-                total = total + (term if pos % 2 == 0 else -term)
-        total = nf_poly(total, ring)
-        cache[key] = total
-        return total
-
-    from itertools import combinations
     for size in range(min(nrows, ncols), 0, -1):
         for ridx in combinations(range(nrows), size):
             for cidx in combinations(range(ncols), size):
-                if not det(ridx, cidx).is_zero():
+                if not _minor(rows, ridx, cidx, m.ring, cache).is_zero():
                     return ncols - size
     return ncols
+
+
+def _minor(rows: Sequence[Sequence[Polynomial]], ridx: Tuple[int, ...],
+           cidx: Tuple[int, ...], ring: RingSpec,
+           cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial]
+           ) -> Polynomial:
+    """Determinant of the submatrix of `rows` on rows ridx and columns cidx,
+    by cofactor expansion along its first row, reduced modulo I at every
+    level so the nonzero test is exact; memoized in `cache`."""
+    if len(ridx) == 1:
+        return nf_poly(rows[ridx[0]][cidx[0]], ring)
+    key = (ridx, cidx)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    total = ring.zero()
+    rest = ridx[1:]
+    for pos, c in enumerate(cidx):
+        entry = rows[ridx[0]][c]
+        if not entry.is_zero():
+            sub = _minor(rows, rest, cidx[:pos] + cidx[pos + 1:], ring, cache)
+            term = entry * sub
+            total = total + (term if pos % 2 == 0 else -term)
+    total = nf_poly(total, ring)
+    cache[key] = total
+    return total
 
 
 def _constant_matrix_rank(rows: Sequence[FreeElement]) -> int:

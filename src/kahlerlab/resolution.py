@@ -30,7 +30,7 @@ from .poly import Polynomial, partial_derivative
 from .parser import RingSpec, make_ringspec
 from .groebner import (krull_dimension, nf_poly, prune_rows, row_lead_key,
                        syzygies_over_ring)
-from .presentations import Presentation, _row_degree
+from .presentations import Presentation, _minor, _row_degree
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -215,23 +215,11 @@ def projective_dimension(m: Presentation, cutoff: int = 6):
     return Finite(max((i for i, b in enumerate(r.betti) if b), default=0))
 
 
-def _det(mat: List[List[Polynomial]], ring: RingSpec) -> Polynomial:
-    if len(mat) == 1:
-        return mat[0][0]
-    total = ring.zero()
-    for j, entry in enumerate(mat[0]):
-        if entry.is_zero():
-            continue
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = entry * _det(sub, ring)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 def jacobian_regular(ring: RingSpec) -> bool:
     """Jacobian criterion over Q: R is regular (smooth) exactly when I
     together with the c x c minors of the Jacobian of its generators is
-    the unit ideal, where c = s - dim R is the codimension."""
+    the unit ideal, where c = s - dim R is the codimension.  The minors are
+    reduced modulo I, which leaves I + (minors) unchanged."""
     if not ring.ideal:
         return True
     s = len(ring.variables)
@@ -240,9 +228,10 @@ def jacobian_regular(ring: RingSpec) -> bool:
         return True
     jac = [[partial_derivative(f, j) for j in range(s)] for f in ring.ideal]
     minors = []
+    cache = {}
     for rsel in combinations(range(len(ring.ideal)), c):
         for csel in combinations(range(s), c):
-            d = _det([[jac[i][j] for j in csel] for i in rsel], ring)
+            d = _minor(jac, rsel, csel, ring, cache)
             if not d.is_zero():
                 minors.append(d)
     extended = make_ringspec(ring.variables, None,

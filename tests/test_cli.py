@@ -1,7 +1,9 @@
 """End-to-end tests of the command line interface (run in-process)."""
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +248,32 @@ def test_verify_paper_structured_on_shipped_corpus(capsys):
     assert report["result"]["skipped"] == 0
     names = [item["name"] for item in report["result"]["items"]]
     assert len(names) == len(set(names)) and len(names) >= 10
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# The sub-second benchmark requests; between them they reach kernel,
+# solve_linear, syzygies_over_ring, prune_rows and both minor callers.
+FAST_BENCHMARK_REQUESTS = (
+    "split --ring src/kahlerlab/corpus/cusp.ring",
+    "resolve -q 2 --module sym2:omega --ring src/kahlerlab/corpus/cusp.ring",
+    "symderiv --ring src/kahlerlab/corpus/ex316.ring",
+    "regular --ring src/kahlerlab/corpus/ex316.ring",
+    "regular --ring src/kahlerlab/corpus/cusp.ring",
+    "rank -q 2 --module sym2:omega --ring src/kahlerlab/corpus/cusp.ring",
+    "rank -q 2 --module jets:ring --ring src/kahlerlab/corpus/ex316.ring",
+    "rank -q 2 --module omega --ring src/kahlerlab/corpus/ex316.ring",
+    "rank -q 1 --module jets:omega --ring src/kahlerlab/corpus/cusp.ring",
+    "rank -q 1 --module sym2:omega --ring src/kahlerlab/corpus/ex316.ring",
+)
+
+
+def test_fast_benchmark_requests_match_recorded_stdout(capsys, monkeypatch):
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
+    monkeypatch.chdir(REPO)
+    got = {}
+    for request in FAST_BENCHMARK_REQUESTS:
+        code, out, _ = run(capsys, request.split())
+        got[request] = {"exit": code,
+                        "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    assert got == {r: expected[r] for r in FAST_BENCHMARK_REQUESTS}

@@ -120,6 +120,25 @@ def test_prune_rows_drops_span_members():
     assert kept == [(p("x"), p("0")), (p("0"), p("1"))]
 
 
+def test_prune_rows_base_spans_but_is_never_returned():
+    def c(text):
+        return p(text, CUSP)
+
+    base = [(c("x"), c("0"))]
+    rows = [
+        (c("y^2"), c("0")),     # x^2 * base row, but only over R: y^2 = x^3
+        (c("x"), c("y")),
+        (c("0"), c("x*y")),     # x * (x, y) - x * base row
+        (c("x"), c("0")),       # the base row itself
+        (c("0"), c("1")),
+    ]
+    kept = prune_rows(rows, 2, CUSP, base=base)
+    assert kept == [(c("x"), c("y")), (c("0"), c("1"))]
+    assert not set(kept) & set(base)
+    # without base the first row is new
+    assert prune_rows(rows, 2, CUSP)[0] == (c("x^3"), c("0"))
+
+
 def test_solve_linear_polynomial_identity():
     sol = solve_linear([[p("x"), p("y")]], [p("x^2 + y^2")], PLANE)
     assert isinstance(sol, Solution)
