@@ -25,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import format_polynomial
 from .parser import (

@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import ExpVec, Polynomial, doubled_variables, shift_components
-from .parser import DeltaLabel, JetLabel, RingSpec
+from .parser import DeltaLabel, JetLabel, RingSpec, make_ringspec
 from .groebner import FreeElement, NoSolution, nf_poly, prune_rows, solve_linear
 from .presentations import (
     ModuleMap,
@@ -205,9 +205,18 @@ def _jet_of_element(element: FreeElement, ring: RingSpec, q: int) -> FreeElement
 # module presentations
 
 
+def _ideal_shifts(ring: RingSpec, q: int) -> List[ExpVec]:
+    """Shifts x^gamma, |gamma| <= q-1, of an ideal generator f that can add
+    a relation.  Modulo I and Delta^(q+1), 1(x)x^gamma f is
+    sum_eta C(gamma,eta) x^(gamma-eta) delta^eta(1(x)f), and the eta = gamma
+    term f*delta^gamma vanishes; so for |gamma| = q the row of x^gamma f is
+    an R-combination of the rows of x^zeta f with |zeta| < q."""
+    return _exponent_vectors(len(ring.variables), q - 1, 0)
+
+
 def _omega_rows(ring: RingSpec, q: int, basis: DeltaBasis) -> List[FreeElement]:
     rows = []
-    shifts = _exponent_vectors(len(ring.variables), q, 0)
+    shifts = _ideal_shifts(ring, q)
     for f in ring.ideal:
         for beta in shifts:
             mono = Polynomial.monomial(ring.variables, beta)
@@ -218,7 +227,7 @@ def _omega_rows(ring: RingSpec, q: int, basis: DeltaBasis) -> List[FreeElement]:
 def omega_presentation(ring: RingSpec, q: int,
                        basis: Optional[Sequence[ExpVec]] = None) -> Presentation:
     """Presentation of Omega^(q)(R): generators d_q(x^alpha), relations the
-    expansions of x^beta * f over all ideal generators f and |beta| <= q,
+    expansions of x^beta * f over all ideal generators f and |beta| < q,
     pruned to a generating subset."""
     if basis is None:
         return _omega_default(ring, q)
@@ -239,8 +248,9 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
     """Presentation of the q-jet module J_q(M).
 
     Generators D_q[g_t](x^beta) for |beta| <= q, beta-major.  Relations are
-    the jet expansions of x^gamma * r for every relation row r of M and of
-    x^gamma * f_j * e_t for every ideal generator, |gamma| <= q, pruned."""
+    the jet expansions of x^gamma * r for every relation row r of M,
+    |gamma| <= q, and of x^gamma * f_j * e_t for every ideal generator,
+    |gamma| < q, pruned."""
     ring = m.ring
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -257,9 +267,10 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
         for gamma in betas:
             mono = Polynomial.monomial(ring.variables, gamma)
             rows.append(_jet_of_element(tuple(mono * e for e in r), ring, q))
+    shifts = _ideal_shifts(ring, q)
     for f in ring.ideal:
         for t in range(k):
-            for gamma in betas:
+            for gamma in shifts:
                 mono = Polynomial.monomial(ring.variables, gamma)
                 rows.append(jet_expand(mono * f, ring, q, t, k))
     rows = prune_rows(rows, len(gens), ring)
@@ -374,9 +385,8 @@ def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
     return out
 
 
-def _zero_derivation(ring: RingSpec, q: int) -> SymmetricDerivation:
-    omega = omega_presentation(ring, q)
-    sym = symmetric_square(omega)
+def _zero_derivation(ring: RingSpec, q: int, omega: Presentation,
+                     sym: Presentation) -> SymmetricDerivation:
     images = tuple(sym.zero_row() for _ in range(omega.ngens))
     return SymmetricDerivation(ring, q, omega, sym, images)
 
@@ -412,9 +422,9 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
     Returns Found(derivation) or NotFound(residual certificate)."""
     omega = omega_presentation(ring, q)
     sym = symmetric_square(omega)
+    zero_d = _zero_derivation(ring, q, omega, sym)
     if not omega.relations:
-        return Found(_zero_derivation(ring, q))
-    zero_d = _zero_derivation(ring, q)
+        return Found(zero_d)
     nsym = sym.ngens
     nuk = omega.ngens * nsym
     slack = [(rho, k) for rho in range(len(omega.relations))
@@ -532,7 +542,8 @@ def splitting_t(ring: RingSpec, derivation: Optional[SymmetricDerivation] = None
     """Retraction t: Omega^(2) -> S^2(Omega^1) with t(iota(s)) = 2 s,
     built from a symmetric derivation (default: zero generator images)."""
     if derivation is None:
-        derivation = _zero_derivation(ring, 1)
+        omega = omega_presentation(ring, 1)
+        derivation = _zero_derivation(ring, 1, omega, symmetric_square(omega))
     if derivation.q != 1:
         raise ValueError("the retraction needs a first-order derivation")
     source = omega_presentation(ring, 2)
@@ -546,33 +557,6 @@ def splitting_t(ring: RingSpec, derivation: Optional[SymmetricDerivation] = None
 
 # ---------------------------------------------------------------------------
 # bounded-degree existence oracle (no Groebner machinery)
-
-
-def _raw_delta_table(h: Polynomial, q: int) -> Dict[ExpVec, Polynomial]:
-    """Unreduced expansion coefficients of h: plain back-substitution of the
-    Taylor table over the polynomial ring itself."""
-    table = dict(shift_components(h, q, include_constant=False))
-    out: Dict[ExpVec, Polynomial] = {}
-    zero = Polynomial.zero(h.variables)
-    gammas = [g for g in product(range(q + 1), repeat=len(h.variables))
-              if 1 <= sum(g) <= q]
-    gammas.sort(key=lambda g: (-sum(g), tuple(-c for c in g)))
-    for gamma in gammas:
-        c = table.get(gamma, zero)
-        out[gamma] = c
-        if c.is_zero():
-            continue
-        ranges = [range(e + 1) for e in gamma]
-        for eta in product(*ranges):
-            if eta == gamma or sum(eta) == 0:
-                continue
-            mult = 1
-            for g, e in zip(gamma, eta):
-                mult *= comb(g, e)
-            mono = Polynomial.monomial(
-                h.variables, tuple(g - e for g, e in zip(gamma, eta)), mult)
-            table[eta] = table.get(eta, zero) - c * mono
-    return out
 
 
 def _monomials_of_weight(variables: Tuple[str, ...],
@@ -590,11 +574,6 @@ def _monomials_of_weight(variables: Tuple[str, ...],
             rec(prefix + [e], remaining - e * w, i + 1)
     rec([], d, 0)
     return out
-
-
-def _monomials_upto(variables: Tuple[str, ...], bound: int) -> List[ExpVec]:
-    return [e for e in product(range(bound + 1), repeat=len(variables))
-            if sum(e) <= bound]
 
 
 def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
@@ -616,14 +595,16 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
                    for (i, j) in sorted(pair, key=pair.get)]
     basis = DeltaBasis(ring, q)
 
-    # raw Leibniz part of each relation row, never reduced modulo I
+    # raw Leibniz part of each relation row, never reduced modulo I: over
+    # the plain polynomial ring nf_poly returns at once
+    plain = make_ringspec(ring.variables)
     leib_rows: List[List[Polynomial]] = []
     for m in omega.relations:
         acc = [Polynomial.zero(ring.variables) for _ in range(nsym)]
         for sigma, entry in enumerate(m):
             if entry.is_zero():
                 continue
-            raw = _raw_delta_table(entry, q)
+            raw = _back_substitute(dict(shift_components(entry, q)), plain, q, 1)
             for pos, eta in enumerate(basis.monomials):
                 c = raw[eta]
                 if c.is_zero():
@@ -647,7 +628,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     def ansatz(forced_degree: Optional[int]) -> List[ExpVec]:
         if graded:
             return _monomials_of_weight(ring.variables, weights, forced_degree)
-        return _monomials_upto(ring.variables, degree_bound)
+        return _exponent_vectors(len(ring.variables), degree_bound, 0)
 
     # unknown polynomial coefficients, bucketed by which polynomial they
     # belong to; each bucket holds (monomial, column) pairs

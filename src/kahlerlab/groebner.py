@@ -459,13 +459,15 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     rows kept before them.
 
     `base` holds rows already known to lie in the module (a presentation's
-    relations, say); they are never returned.  This loop rebuilds the
-    ideal-augmented basis after every kept row; it is the one place an
-    incremental basis would replace that rebuild.
+    relations, say); they are never returned.  With no `base` the first
+    nonzero row is kept without a membership test: a row that nf_poly
+    leaves nonzero has an entry outside I, so it is never in I*P^rank.
+    This loop rebuilds the ideal-augmented basis after every kept row; it
+    is the one place an incremental basis would replace that rebuild.
     """
     base = list(base)
     kept: List[FreeElement] = []
-    basis = submodule_over_ring(base, rank, ring) if base or ring.ideal else None
+    basis = submodule_over_ring(base, rank, ring) if base else None
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
         if all(p.is_zero() for p in row):

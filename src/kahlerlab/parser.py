@@ -574,16 +574,20 @@ def _poly_matrix(rows, order) -> List[List[str]]:
     return [[format_polynomial(p, order) for p in row] for row in rows]
 
 
+def _matrix_statement(name: str, rows, order) -> str:
+    """`name = [...];` with one bracketed row per line, or `name = [];`."""
+    if not rows:
+        return "%s = [];" % name
+    body = ",\n".join("  [%s]" % ", ".join(format_polynomial(c, order) for c in row)
+                      for row in rows)
+    return "%s = [\n%s\n];" % (name, body)
+
+
 def presentation_text(p) -> str:
     order = p.ring.order()
     lines = ring_statements(p.ring)
     lines.append("generators = [%s];" % ", ".join(g.render() for g in p.generators))
-    if p.relations:
-        rows = ",\n".join("  [%s]" % ", ".join(format_polynomial(c, order) for c in row)
-                          for row in p.relations)
-        lines.append("relations = [\n%s\n];" % rows)
-    else:
-        lines.append("relations = [];")
+    lines.append(_matrix_statement("relations", p.relations, order))
     return "\n".join(lines) + "\n"
 
 
@@ -610,13 +614,7 @@ def map_text(m) -> str:
                  % ", ".join(g.render() for g in m.source.generators))
     lines.append("target_generators = [%s];"
                  % ", ".join(g.render() for g in m.target.generators))
-    rows = map_matrix_rows(m)
-    if rows:
-        body = ",\n".join("  [%s]" % ", ".join(format_polynomial(c, order) for c in row)
-                          for row in rows)
-        lines.append("matrix = [\n%s\n];" % body)
-    else:
-        lines.append("matrix = [];")
+    lines.append(_matrix_statement("matrix", map_matrix_rows(m), order))
     return "\n".join(lines) + "\n"
 
 
@@ -638,9 +636,7 @@ def resolution_text(r) -> str:
     lines.append("cutoff = %d;" % r.cutoff)
     lines.append("graded = %s;" % ("true" if r.graded else "false"))
     for i, step in enumerate(r.steps):
-        body = ",\n".join("  [%s]" % ", ".join(format_polynomial(c, order) for c in row)
-                          for row in step)
-        lines.append("step%d = [\n%s\n];" % (i, body) if step else "step%d = [];" % i)
+        lines.append(_matrix_statement("step%d" % i, step, order))
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ExpVec = Tuple[int, ...]
 
@@ -179,13 +179,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degree(self, weights: Optional[Sequence[int]]) -> int:
-        if not self.terms:
-            return -1
-        if weights is None:
-            return self.total_degree()
-        return max(sum(w * x for w, x in zip(weights, e)) for e in self.terms)
-
     def homogeneous_degree(self, weights: Optional[Sequence[int]]) -> Optional[int]:
         """The common (weighted) degree of all terms, or None if mixed/zero."""
         degs = set()
@@ -197,9 +190,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def iter_terms(self) -> Iterator[Tuple[ExpVec, Fraction]]:
-        return iter(self.terms.items())
 
     # -- arithmetic ----------------------------------------------------
 

@@ -9,15 +9,12 @@ command.
 
 from fractions import Fraction
 import random
-from typing import List
 
-from .poly import MonomialOrder, Polynomial, format_polynomial, partial_derivative
+from .poly import Polynomial, format_polynomial, partial_derivative
 from .parser import make_ringspec, parse_poly, parse_ringspec, ring_statements
 from .groebner import (
-    SubmoduleBasis,
     groebner_basis,
     nf_poly,
-    normal_form,
     submodule_over_ring,
     syzygies,
 )

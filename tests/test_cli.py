@@ -252,9 +252,12 @@ def test_verify_paper_structured_on_shipped_corpus(capsys):
 
 REPO = Path(__file__).resolve().parents[1]
 
-# The sub-second benchmark requests; between them they reach kernel,
-# solve_linear, syzygies_over_ring, prune_rows and both minor callers.
+# The benchmark requests that take at most about 1.5 s each; between them
+# they reach kernel, solve_linear, syzygies_over_ring, prune_rows, the
+# minimal chain behind projective_dimension and both minor callers.
 FAST_BENCHMARK_REQUESTS = (
+    "pd -q 1 --module jets:omega --cutoff 2 --ring src/kahlerlab/corpus/ex316.ring",
+    "pd -q 2 --module omega --ring src/kahlerlab/corpus/ex316.ring",
     "split --ring src/kahlerlab/corpus/cusp.ring",
     "resolve -q 2 --module sym2:omega --ring src/kahlerlab/corpus/cusp.ring",
     "symderiv --ring src/kahlerlab/corpus/ex316.ring",

@@ -20,6 +20,7 @@ from kahlerlab.presentations import (
     element_is_zero,
     kernel,
     presentation_is_zero,
+    relation_basis,
     ring_as_module,
     symmetric_square,
     verify_splitting,
@@ -174,6 +175,17 @@ def test_cusp_higher_shift_rows_are_redundant():
     for beta in ((2, 0), (1, 1), (0, 2)):
         shifted = Polynomial.monomial(CUSP.variables, beta) * CUSP.ideal[0]
         assert basis.contains(delta_expand(shifted, CUSP, 2))
+    # the same holds for the jet rows of x^gamma * f * e_t with |gamma| = q,
+    # which jq_presentation leaves out
+    for q in (1, 2):
+        for inner in (ring_as_module(CUSP), omega_presentation(CUSP, q)):
+            jets = jq_presentation(inner, q)
+            basis = relation_basis(jets)
+            k = inner.ngens
+            for gamma in ((a, q - a) for a in range(q + 1)):
+                shifted = Polynomial.monomial(CUSP.variables, gamma) * CUSP.ideal[0]
+                for t in range(k):
+                    assert basis.contains(jet_expand(shifted, CUSP, q, t, k))
 
 
 def test_jets_of_cusp_ring_presentation():

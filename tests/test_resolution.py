@@ -128,6 +128,19 @@ def test_minimalize_sweeps_a_unit_pivot():
     assert projective_dimension(m, cutoff=3) == Finite(0)
 
 
+def test_projective_dimension_builds_only_the_minimal_chain(monkeypatch):
+    import kahlerlab.resolution as resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("projective_dimension built the raw resolution")
+    monkeypatch.setattr(resolution, "free_resolution", forbidden)
+    monkeypatch.setattr(resolution, "minimalize", forbidden)
+    assert projective_dimension(omega_presentation(CUSP, 1)) == Finite(1)
+    # k = R/(x) over Q[x]/(x^2) has the periodic resolution ... -> R -x-> R
+    residue = Presentation(SQUARE, (PlainLabel("a"),), ((p("x", SQUARE),),))
+    assert projective_dimension(residue, cutoff=4) == AtLeast(4)
+
+
 def test_pd_verdict_types():
     assert Finite(1) == Finite(1)
     assert Finite(1) != AtLeast(1)
