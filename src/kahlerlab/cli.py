@@ -72,6 +72,7 @@ from .diffmod import (
 from .resolution import (
     AtLeast,
     Finite,
+    _minimal_resolution,
     free_resolution,
     jacobian_regular,
     minimalize,
@@ -391,7 +392,7 @@ def _check_weighted_pd(rings, cases):
     ring = rings["ex316"]
     pd1 = projective_dimension(omega_presentation(ring, 1), cutoff=6)
     _expect(pd1 == Finite(1), "pd(Omega^1) = %s, expected pd = 1" % pd1)
-    r = minimalize(free_resolution(omega_presentation(ring, 2), cutoff=5))
+    r = _minimal_resolution(omega_presentation(ring, 2), 5)
     _expect(not r.terminated, "Omega^2 resolution terminated unexpectedly")
     _expect(len(r.betti) == 6 and all(b > 0 for b in r.betti),
             "Omega^2 betti %r should be positive through the cutoff"

@@ -20,9 +20,11 @@ compute over P, and project/reduce afterwards.  The helpers with
 
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of the tracked reduction in
-`solve_linear`; `_syzygy_rows` turns tracked syzygies into rows for both
-`syzygies` and `syzygies_over_ring`; `prune_rows` is the greedy pruner of
-every presentation, kernels included.
+`solve_linear`; `_BuchbergerRun` is the one pair loop, completed in one
+go by `_buchberger` and resumed row by row by `prune_rows`; `_syzygy_rows`
+turns tracked syzygies into rows for both `syzygies` and
+`syzygies_over_ring`; `prune_rows` is the greedy pruner of every
+presentation, kernels included.
 """
 
 from __future__ import annotations
@@ -126,66 +128,88 @@ def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
     return result
 
 
-def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
-                track: bool) -> Tuple[List[_Elt], List[Vec]]:
-    """Run Buchberger; returns the full working basis and tracked syzygies.
+class _BuchbergerRun:
+    """A resumable Buchberger run: working elements, their indices by lead
+    position, the pair heap and the tracked syzygies.
 
     With track=True every pair is processed (no coprimality skips) and each
     zero reduction contributes one syzygy over the input index space.
     """
-    elements: List[_Elt] = []
-    by_pos: Dict[int, List[int]] = {}
-    syzygies: List[Vec] = []
-    pairs: List[Tuple] = []
 
-    def add_element(vec: Vec, expr: Optional[Vec]) -> None:
-        _make_primitive(vec, expr, order)
-        elt = _Elt(vec, expr, order)
-        idx = len(elements)
+    def __init__(self, order: MonomialOrder, rank: int, track: bool):
+        self.order = order
+        self.rank = rank
+        self.track = track
+        self.elements: List[_Elt] = []
+        self.by_pos: Dict[int, List[int]] = {}
+        self.pairs: List[Tuple] = []
+        self.syzygies: List[Vec] = []
+
+    def add(self, vec: Vec, expr: Optional[Vec]) -> None:
+        """Take a nonzero element in and push its pairs."""
+        _make_primitive(vec, expr, self.order)
+        elt = _Elt(vec, expr, self.order)
+        idx = len(self.elements)
         pos = elt.lead[0]
-        for jdx in by_pos.get(pos, ()):
-            other = elements[jdx]
-            if (not track and rank == 1
+        for jdx in self.by_pos.get(pos, ()):
+            other = self.elements[jdx]
+            if (not self.track and self.rank == 1
                     and all(a == 0 or b == 0
                             for a, b in zip(other.lead[1], elt.lead[1]))):
                 continue  # product criterion: safe only for untracked ideals
             lcm_exps = tuple(max(a, b) for a, b in zip(other.lead[1], elt.lead[1]))
-            heapq.heappush(pairs, (order.key(lcm_exps), pos, jdx, idx))
-        elements.append(elt)
-        by_pos.setdefault(pos, []).append(idx)
+            heapq.heappush(self.pairs, (self.order.key(lcm_exps), pos, jdx, idx))
+        self.elements.append(elt)
+        self.by_pos.setdefault(pos, []).append(idx)
 
+    def complete(self) -> None:
+        """Drain the pair heap; the working elements are then a GB."""
+        while self.pairs:
+            _, pos, i, j = heapq.heappop(self.pairs)
+            gi, gj = self.elements[i], self.elements[j]
+            lcm_exps = tuple(max(a, b) for a, b in zip(gi.lead[1], gj.lead[1]))
+            shift_i = tuple(a - b for a, b in zip(lcm_exps, gi.lead[1]))
+            shift_j = tuple(a - b for a, b in zip(lcm_exps, gj.lead[1]))
+            vec: Vec = {}
+            _vec_submul(vec, -gj.lc, shift_i, gi.vec)
+            _vec_submul(vec, gi.lc, shift_j, gj.vec)
+            expr: Optional[Vec] = None
+            if self.track:
+                expr = {}
+                _vec_submul(expr, -gj.lc, shift_i, gi.expr)
+                _vec_submul(expr, gi.lc, shift_j, gj.expr)
+            remainder = _reduce(vec, expr, self.elements, self.by_pos, self.order)
+            if remainder:
+                self.add(remainder, expr)
+            elif self.track and expr:
+                _make_primitive(expr, None, self.order)
+                self.syzygies.append(expr)
+
+    def absorb(self, vec: Vec) -> bool:
+        """On a completed untracked run: False if vec (consumed) lies in the
+        submodule, else add its remainder, complete the new pairs, True."""
+        remainder = _reduce(vec, None, self.elements, self.by_pos, self.order)
+        if remainder:
+            self.add(remainder, None)
+            self.complete()
+        return bool(remainder)
+
+
+def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
+                track: bool) -> _BuchbergerRun:
+    """Fill a run with the inputs and complete it."""
+    run = _BuchbergerRun(order, rank, track)
     nvars = next((len(exps) for vec in inputs for (_, exps) in vec), 0)
     zero_exps = (0,) * nvars
     for i, vec in enumerate(inputs):
         expr = {(i, zero_exps): Fraction(1)} if track else None
         if not vec:
             if track:
-                syzygies.append(dict(expr))
+                run.syzygies.append(dict(expr))
             continue
-        add_element(dict(vec), expr)
-
-    while pairs:
-        _, pos, i, j = heapq.heappop(pairs)
-        gi, gj = elements[i], elements[j]
-        lcm_exps = tuple(max(a, b) for a, b in zip(gi.lead[1], gj.lead[1]))
-        shift_i = tuple(a - b for a, b in zip(lcm_exps, gi.lead[1]))
-        shift_j = tuple(a - b for a, b in zip(lcm_exps, gj.lead[1]))
-        vec: Vec = {}
-        _vec_submul(vec, -gj.lc, shift_i, gi.vec)
-        _vec_submul(vec, gi.lc, shift_j, gj.vec)
-        expr: Optional[Vec] = None
-        if track:
-            expr = {}
-            _vec_submul(expr, -gj.lc, shift_i, gi.expr)
-            _vec_submul(expr, gi.lc, shift_j, gj.expr)
-        remainder = _reduce(vec, expr, elements, by_pos, order)
-        if remainder:
-            add_element(remainder, expr)
-        elif track and expr:
-            _make_primitive(expr, None, order)
-            syzygies.append(expr)
-
-    return elements, syzygies
+        run.add(dict(vec), expr)
+    run.complete()
+    return run
 
 
 def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
@@ -294,8 +318,8 @@ class SubmoduleBasis:
                 self._groebner = []
             else:
                 inputs = [_row_to_vec(r) for r in self.generators]
-                elements, _ = _buchberger(inputs, self.order, self.rank, track=False)
-                self._groebner = _reduced_basis(elements, self.order)
+                run = _buchberger(inputs, self.order, self.rank, track=False)
+                self._groebner = _reduced_basis(run.elements, self.order)
         return self._groebner
 
     def groebner_rows(self) -> List[FreeElement]:
@@ -370,7 +394,7 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
     if not gens:
         return SubmoduleBasis((), basis.order, rank=0, variables=basis.variables)
     inputs = [_row_to_vec(r) for r in gens]
-    _, raw = _buchberger(inputs, basis.order, basis.rank, track=True)
+    raw = _buchberger(inputs, basis.order, basis.rank, track=True).syzygies
 
     def vanishes(row: FreeElement) -> FreeElement:
         combo = None
@@ -433,7 +457,7 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
         return []
     items = rows + _ideal_unit_rows(rank, ring)
     inputs = [_row_to_vec(r) for r in items]
-    _, raw = _buchberger(inputs, ring.order(), rank, track=True)
+    raw = _buchberger(inputs, ring.order(), rank, track=True).syzygies
     return _syzygy_rows(raw, t, len(items), ring.variables,
                         lambda row: tuple(nf_poly(p, ring) for p in row),
                         ring.order())
@@ -459,23 +483,20 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     rows kept before them.
 
     `base` holds rows already known to lie in the module (a presentation's
-    relations, say); they are never returned.  With no `base` the first
-    nonzero row is kept without a membership test: a row that nf_poly
-    leaves nonzero has an entry outside I, so it is never in I*P^rank.
-    This loop rebuilds the ideal-augmented basis after every kept row; it
-    is the one place an incremental basis would replace that rebuild.
+    relations, say); they are never returned.  One resumable Buchberger run
+    over P, seeded with `base` and I*P^rank, serves the whole call: each
+    nf_poly'd row is reduced against its working elements, a Groebner basis
+    of span(kept + base) + I*P^rank; a zero remainder means membership,
+    otherwise the remainder joins the run and the row itself is kept.
     """
-    base = list(base)
+    seeds = [_as_row(r, rank) for r in base] + _ideal_unit_rows(rank, ring)
+    run = _buchberger([_row_to_vec(r) for r in seeds], ring.order(), rank,
+                      track=False)
     kept: List[FreeElement] = []
-    basis = submodule_over_ring(base, rank, ring) if base else None
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
-        if all(p.is_zero() for p in row):
-            continue
-        if basis is not None and basis.contains(row):
-            continue
-        kept.append(row)
-        basis = submodule_over_ring(kept + base, rank, ring)
+        if run.absorb(_row_to_vec(row)):
+            kept.append(row)
     return kept
 
 
@@ -518,15 +539,12 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     items = columns + _ideal_unit_rows(nrows, ring)
     inputs = [_row_to_vec(_as_row(r, nrows)) for r in items]
     order = ring.order()
-    elements, _ = _buchberger([v for v in inputs if v], order, nrows, track=True)
+    run = _buchberger([v for v in inputs if v], order, nrows, track=True)
     # reindex tracked expressions: _buchberger numbered only nonzero inputs
     nonzero_idx = [i for i, v in enumerate(inputs) if v]
-    by_pos: Dict[int, List[int]] = {}
-    for i, e in enumerate(elements):
-        by_pos.setdefault(e.lead[0], []).append(i)
     work = _row_to_vec(_as_row(b, nrows))
     acc: Vec = {}
-    remainder = _reduce(work, acc, elements, by_pos, order)
+    remainder = _reduce(work, acc, run.elements, run.by_pos, order)
     if remainder:
         return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
     # _reduce subtracts from acc, so acc now expresses -b

@@ -252,10 +252,12 @@ def test_verify_paper_structured_on_shipped_corpus(capsys):
 
 REPO = Path(__file__).resolve().parents[1]
 
-# The benchmark requests that take at most about 1.5 s each; between them
+# Every benchmark request but verify-paper (which the tests above run on
+# the shipped corpus): each takes at most about 1.5 s, and between them
 # they reach kernel, solve_linear, syzygies_over_ring, prune_rows, the
 # minimal chain behind projective_dimension and both minor callers.
 FAST_BENCHMARK_REQUESTS = (
+    "omega -q 3 --ring src/kahlerlab/corpus/ex316.ring",
     "pd -q 1 --module jets:omega --cutoff 2 --ring src/kahlerlab/corpus/ex316.ring",
     "pd -q 2 --module omega --ring src/kahlerlab/corpus/ex316.ring",
     "split --ring src/kahlerlab/corpus/cusp.ring",
@@ -280,3 +282,12 @@ def test_fast_benchmark_requests_match_recorded_stdout(capsys, monkeypatch):
         got[request] = {"exit": code,
                         "sha256": hashlib.sha256(out.encode()).hexdigest()}
     assert got == {r: expected[r] for r in FAST_BENCHMARK_REQUESTS}
+
+
+def test_split_on_ex316(capsys):
+    code, out, _ = run(capsys, [
+        "split", "--ring", str(REPO / "src" / "kahlerlab" / "corpus" / "ex316.ring")])
+    assert code == 0
+    assert "derivation_found = false;" in out
+    assert "exact = [true, true, true];" in out
+    assert "splitting = false;" in out

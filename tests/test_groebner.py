@@ -4,10 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from kahlerlab.diffmod import DeltaBasis, _omega_rows, theta_to_first
 from kahlerlab.groebner import (
     NoSolution,
     Solution,
     SubmoduleBasis,
+    _buchberger,
+    _ideal_unit_rows,
+    _reduced_basis,
+    _row_to_vec,
     groebner_basis,
     krull_dimension,
     nf_poly,
@@ -137,6 +142,51 @@ def test_prune_rows_base_spans_but_is_never_returned():
     assert not set(kept) & set(base)
     # without base the first row is new
     assert prune_rows(rows, 2, CUSP)[0] == (c("x^3"), c("0"))
+
+
+def _rebuild_prune(rows, rank, ring, base=()):
+    """Reference pruner: a fresh ideal-augmented basis for every row."""
+    kept = []
+    for row in rows:
+        row = tuple(nf_poly(entry, ring) for entry in row)
+        if all(entry.is_zero() for entry in row):
+            continue
+        if not submodule_over_ring(kept + list(base), rank, ring).contains(row):
+            kept.append(row)
+    return kept
+
+
+@pytest.mark.parametrize("ring", [CUSP, EX316], ids=["cusp", "ex316"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_prune_rows_matches_rebuild_on_omega_rows(ring, q):
+    db = DeltaBasis(ring, q)
+    rows = _omega_rows(ring, q, db)
+    rank = len(db.monomials)
+    assert prune_rows(rows, rank, ring) == _rebuild_prune(rows, rank, ring)
+
+
+def test_prune_rows_matches_rebuild_on_kernel_rows_with_base():
+    theta = theta_to_first(CUSP, 2)
+    items = list(theta.columns) + list(theta.target.relations)
+    raw = [row[:theta.source.ngens]
+           for row in syzygies_over_ring(items, theta.target.ngens, CUSP)]
+    base = theta.source.relations
+    kept = prune_rows(raw, theta.source.ngens, CUSP, base=base)
+    assert kept == _rebuild_prune(raw, theta.source.ngens, CUSP, base=base)
+    assert 0 < len(kept) < len(raw)
+
+
+def test_absorb_extends_to_the_reduced_basis_of_all_rows():
+    db = DeltaBasis(EX316, 2)
+    rank = len(db.monomials)
+    seeds = _ideal_unit_rows(rank, EX316)
+    run = _buchberger([_row_to_vec(r) for r in seeds], EX316.order(), rank,
+                      track=False)
+    rows = _omega_rows(EX316, 2, db)
+    absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
+    assert absorbed[0] and not absorbed[-1]
+    assert (_reduced_basis(run.elements, EX316.order())
+            == SubmoduleBasis(rows + seeds, EX316.order()).groebner)
 
 
 def test_solve_linear_polynomial_identity():
