@@ -26,6 +26,7 @@ from .groebner import FreeElement, NoSolution, nf_poly, prune_rows, solve_linear
 from .presentations import (
     ModuleMap,
     Presentation,
+    _pair_index,
     _row_degree,
     direct_sum,
     ring_as_module,
@@ -375,14 +376,6 @@ class Found:
 @dataclass(frozen=True)
 class NotFound:
     residual: FreeElement
-
-
-def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
-    out = {}
-    for i in range(n):
-        for j in range(i, n):
-            out[(i, j)] = len(out)
-    return out
 
 
 def _zero_derivation(ring: RingSpec, q: int, omega: Presentation,

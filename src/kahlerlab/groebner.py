@@ -532,28 +532,21 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     if len(b) != len(rows):
         raise ValueError("dimension mismatch between A and b")
     nrows = len(rows)
-    zero = Polynomial.zero(ring.variables)
     columns: List[FreeElement] = []
     for j in range(ncols):
         columns.append(tuple(rows[i][j] for i in range(nrows)))
     items = columns + _ideal_unit_rows(nrows, ring)
     inputs = [_row_to_vec(_as_row(r, nrows)) for r in items]
     order = ring.order()
-    run = _buchberger([v for v in inputs if v], order, nrows, track=True)
-    # reindex tracked expressions: _buchberger numbered only nonzero inputs
-    nonzero_idx = [i for i, v in enumerate(inputs) if v]
+    run = _buchberger(inputs, order, nrows, track=True)
     work = _row_to_vec(_as_row(b, nrows))
     acc: Vec = {}
     remainder = _reduce(work, acc, run.elements, run.by_pos, order)
     if remainder:
         return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
     # _reduce subtracts from acc, so acc now expresses -b
-    tracked = _vec_to_row(acc, len(nonzero_idx), ring.variables)
-    solution = [zero] * ncols
-    for local, original in enumerate(nonzero_idx):
-        if original < ncols:
-            solution[original] = nf_poly(-tracked[local], ring)
-    return Solution(tuple(solution))
+    tracked = _vec_to_row(acc, len(inputs), ring.variables)
+    return Solution(tuple(nf_poly(-p, ring) for p in tracked[:ncols]))
 
 
 # ---------------------------------------------------------------------------

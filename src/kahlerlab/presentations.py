@@ -9,6 +9,12 @@ happens modulo I automatically.
 A ModuleMap stores one column per source generator, each column a free
 element over the target generators.  Kernels, cokernels, exactness of a
 complex, and splitting checks reduce to syzygy and membership computations.
+
+Ranks come from fraction-free elimination: one column-clearing step
+(_clear_column) replaces each row by pivot * row - entry * pivot row,
+reduced modulo I.  Over a domain this keeps the rank over Frac(R), so the
+generic rank of a module and the Q-rank of its constant coefficients
+(minimal_generator_count) are both counts of pivots.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial
-from .parser import Label, PlainLabel, RingSpec, SymLabel, parse_presentation_doc
+from .parser import (Label, PlainLabel, RingSpec, SymLabel, make_ringspec,
+                     parse_presentation_doc)
 from .groebner import (
     FreeElement,
     SubmoduleBasis,
@@ -286,20 +292,26 @@ def direct_sum(a: Presentation, b: Presentation
 # symmetric square
 
 
+def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
+    """Position of the unordered pair (i, j), i <= j, among the pairs of
+    range(n) listed row by row: the generator order of S^2."""
+    out = {}
+    for i in range(n):
+        for j in range(i, n):
+            out[(i, j)] = len(out)
+    return out
+
+
 def symmetric_square(m: Presentation) -> Presentation:
     """S^2(M): generators s(a,b) over unordered pairs of m's generators.
 
     Relations: for every relation row r of m and every generator g of m,
     the symmetrization of r ⊗ g, written in the pair coordinates.
     """
-    gens = list(m.generators)
+    gens = m.generators
     n = len(gens)
-    pair_index: Dict[Tuple[int, int], int] = {}
-    labels: List[Label] = []
-    for i in range(n):
-        for j in range(i, n):
-            pair_index[(i, j)] = len(labels)
-            labels.append(SymLabel(gens[i], gens[j]))
+    pair_index = _pair_index(n)
+    labels = [SymLabel(gens[i], gens[j]) for (i, j) in pair_index]
     zero = m.ring.zero()
     rows: List[FreeElement] = []
     for row in m.relations:
@@ -317,8 +329,7 @@ def symmetric_square(m: Presentation) -> Presentation:
     rows = prune_rows(rows, len(labels), m.ring)
     degrees = None
     if m.degrees is not None:
-        degrees = tuple(m.degrees[i] + m.degrees[j]
-                        for i in range(n) for j in range(i, n))
+        degrees = tuple(m.degrees[i] + m.degrees[j] for (i, j) in pair_index)
     return Presentation(m.ring, tuple(labels), tuple(rows), degrees)
 
 
@@ -329,73 +340,54 @@ def symmetric_square(m: Presentation) -> Presentation:
 def rank(m: Presentation) -> int:
     """Generic rank of M over the fraction field of R (domain rings only).
 
-    ngens minus the size of the largest relation-matrix minor whose
-    determinant is nonzero in R, searched from the largest size down with
-    memoized cofactor expansion; determinants are reduced modulo I on the
-    way so the nonzero test is exact.
+    ngens minus the rank of the relation matrix over Frac(R), found by
+    fraction-free elimination with entries reduced modulo I
+    (_matrix_rank); graded and ungraded input take the same path.
     """
     if not m.ring.is_domain():
         raise ValueError("rank needs a domain; set assume_domain or drop the ideal")
-    rows = [tuple(r) for r in m.relations]
-    if not rows or m.ngens == 0:
-        return m.ngens
-    nrows, ncols = len(rows), m.ngens
-    cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial] = {}
-    for size in range(min(nrows, ncols), 0, -1):
-        for ridx in combinations(range(nrows), size):
-            for cidx in combinations(range(ncols), size):
-                if not _minor(rows, ridx, cidx, m.ring, cache).is_zero():
-                    return ncols - size
-    return ncols
+    return m.ngens - _matrix_rank(m.relations, m.ring)
 
 
-def _minor(rows: Sequence[Sequence[Polynomial]], ridx: Tuple[int, ...],
-           cidx: Tuple[int, ...], ring: RingSpec,
-           cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial]
-           ) -> Polynomial:
-    """Determinant of the submatrix of `rows` on rows ridx and columns cidx,
-    by cofactor expansion along its first row, reduced modulo I at every
-    level so the nonzero test is exact; memoized in `cache`."""
-    if len(ridx) == 1:
-        return nf_poly(rows[ridx[0]][cidx[0]], ring)
-    key = (ridx, cidx)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    total = ring.zero()
-    rest = ridx[1:]
-    for pos, c in enumerate(cidx):
-        entry = rows[ridx[0]][c]
-        if not entry.is_zero():
-            sub = _minor(rows, rest, cidx[:pos] + cidx[pos + 1:], ring, cache)
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-    total = nf_poly(total, ring)
-    cache[key] = total
-    return total
+def _clear_column(rows: Sequence[List[Polynomial]],
+                  pivot: Sequence[Polynomial], b: int,
+                  ring: RingSpec) -> List[List[Polynomial]]:
+    """One fraction-free elimination step against `pivot`, p = pivot[b].
+
+    Every row with a nonzero entry c in column b becomes p*row - c*pivot,
+    reduced modulo I; then column b and the zero rows are dropped.
+    """
+    p = pivot[b]
+    out = []
+    for row in rows:
+        c = row[b]
+        if not c.is_zero():
+            row = [nf_poly(p * x - c * y, ring) for x, y in zip(row, pivot)]
+        row = row[:b] + row[b + 1:]
+        if any(not x.is_zero() for x in row):
+            out.append(row)
+    return out
 
 
-def _constant_matrix_rank(rows: Sequence[FreeElement]) -> int:
-    """Rank over Q of the matrix of constant coefficients."""
-    mat = [[p.constant_term() for p in row] for row in rows]
-    rank_count = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank_count, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank_count], mat[pivot] = mat[pivot], mat[rank_count]
-        pv = mat[rank_count][col]
-        for r in range(len(mat)):
-            if r != rank_count and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank_count])]
-        rank_count += 1
-    return rank_count
+def _matrix_rank(rows: Sequence[Sequence[Polynomial]], ring: RingSpec) -> int:
+    """Rank over the fraction field of the domain R of a matrix given by rows.
+
+    Each step pivots on the sparsest, lowest-degree nonzero entry and
+    clears its column.  A pivot is nonzero in R, so every row operation is
+    invertible over Frac(R); entries are kept reduced modulo I, so the zero
+    test is exact.  The rank is the number of pivots.
+    """
+    rows = [[nf_poly(x, ring) for x in r] for r in rows]
+    rows = [r for r in rows if any(not x.is_zero() for x in r)]
+    count = 0
+    while rows:
+        *_, a, b = min((len(x.terms), x.total_degree(), a, b)
+                       for a, r in enumerate(rows)
+                       for b, x in enumerate(r) if not x.is_zero())
+        pivot = rows.pop(a)
+        rows = _clear_column(rows, pivot, b, ring)
+        count += 1
+    return count
 
 
 def _row_degree(row: FreeElement, degrees: Tuple[int, ...],
@@ -431,6 +423,7 @@ def minimal_generator_count(m: Presentation) -> int:
             if _row_degree(row, m.degrees, m.ring.weights) is None and \
                     any(not p.is_zero() for p in row):
                 raise ValueError("presentation is not homogeneous for the weights")
-    if not m.relations:
-        return m.ngens
-    return m.ngens - _constant_matrix_rank(m.relations)
+    plain = make_ringspec(m.ring.variables)
+    constants = [[Polynomial.const(plain.variables, x.constant_term())
+                  for x in row] for row in m.relations]
+    return m.ngens - _matrix_rank(constants, plain)

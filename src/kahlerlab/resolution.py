@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, partial_derivative
 from .parser import RingSpec, make_ringspec
 from .groebner import (krull_dimension, nf_poly, prune_rows, row_lead_key,
                        syzygies_over_ring)
-from .presentations import Presentation, _minor, _row_degree
+from .presentations import Presentation, _clear_column, _row_degree
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -80,9 +80,10 @@ def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
 
     `lower` is any sequence indexed parallel to `upper`'s columns (step
     matrix rows, or generator indices at the bottom level).  A constant
-    entry upper[a][b] says lower[b] is an R-combination of the rest: the
-    pivot column is cleared by row operations, then row a and column b of
-    `upper` and entry b of `lower` are dropped.  Zero rows are discarded.
+    entry upper[a][b] says lower[b] is an R-combination of the rest: row a,
+    scaled to a unit pivot, clears column b of the other rows
+    (presentations._clear_column, which also drops column b and the zero
+    rows), then row a and entry b of `lower` are dropped.
     """
     upper = [list(r) for r in upper]
     lower = list(lower)
@@ -95,15 +96,8 @@ def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
         a, b = hit
         pivot = upper.pop(a)
         pv = _scalar(pivot[b])
-        for i, row in enumerate(upper):
-            if row[b].is_zero():
-                continue
-            c = row[b].scale(1 / pv)
-            upper[i] = [nf_poly(x - c * y, ring) for x, y in zip(row, pivot)]
-        for row in upper:
-            del row[b]
+        upper = _clear_column(upper, [y.scale(1 / pv) for y in pivot], b, ring)
         del lower[b]
-        upper = [r for r in upper if any(not p.is_zero() for p in r)]
 
 
 def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
@@ -224,6 +218,32 @@ def projective_dimension(m: Presentation, cutoff: int = 6):
     if not r.terminated:
         return AtLeast(cutoff)
     return Finite(max((i for i, b in enumerate(r.betti) if b), default=0))
+
+
+def _minor(rows: Sequence[Sequence[Polynomial]], ridx: Tuple[int, ...],
+           cidx: Tuple[int, ...], ring: RingSpec,
+           cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial]
+           ) -> Polynomial:
+    """Determinant of the submatrix of `rows` on rows ridx and columns cidx,
+    by cofactor expansion along its first row, reduced modulo I at every
+    level so the nonzero test is exact; memoized in `cache`."""
+    if len(ridx) == 1:
+        return nf_poly(rows[ridx[0]][cidx[0]], ring)
+    key = (ridx, cidx)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    total = ring.zero()
+    rest = ridx[1:]
+    for pos, c in enumerate(cidx):
+        entry = rows[ridx[0]][c]
+        if not entry.is_zero():
+            sub = _minor(rows, rest, cidx[:pos] + cidx[pos + 1:], ring, cache)
+            term = entry * sub
+            total = total + (term if pos % 2 == 0 else -term)
+    total = nf_poly(total, ring)
+    cache[key] = total
+    return total
 
 
 def jacobian_regular(ring: RingSpec) -> bool:

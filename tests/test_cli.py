@@ -255,7 +255,8 @@ REPO = Path(__file__).resolve().parents[1]
 # Every benchmark request but verify-paper (which the tests above run on
 # the shipped corpus): each takes at most about 1.5 s, and between them
 # they reach kernel, solve_linear, syzygies_over_ring, prune_rows, the
-# minimal chain behind projective_dimension and both minor callers.
+# minimal chain behind projective_dimension, the rank elimination and the
+# Jacobian minors.
 FAST_BENCHMARK_REQUESTS = (
     "omega -q 3 --ring src/kahlerlab/corpus/ex316.ring",
     "pd -q 1 --module jets:omega --cutoff 2 --ring src/kahlerlab/corpus/ex316.ring",
@@ -291,3 +292,11 @@ def test_split_on_ex316(capsys):
     assert "derivation_found = false;" in out
     assert "exact = [true, true, true];" in out
     assert "splitting = false;" in out
+
+
+def test_rank_of_jets_of_omega_on_ex316(capsys):
+    code, out, _ = run(capsys, [
+        "rank", "-q", "1", "--module", "jets:omega",
+        "--ring", str(REPO / "src" / "kahlerlab" / "corpus" / "ex316.ring")])
+    assert code == 0
+    assert out == "rank = 2\n"

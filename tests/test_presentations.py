@@ -1,9 +1,12 @@
 """Tests for finitely presented modules and maps between them."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from kahlerlab.diffmod import jq_presentation, omega_presentation
 from kahlerlab.parser import (
     PlainLabel,
     SymLabel,
@@ -34,10 +37,14 @@ from kahlerlab.presentations import (
     zero_map,
     zero_presentation,
 )
+from kahlerlab.resolution import _minor
 
 PLANE = make_ringspec(("x", "y"))
 CUSP = parse_ringspec(
     "vars = [x, y]; weights = [2, 3]; ideal = [y^2 - x^3]; assume_domain = true;")
+EX316 = parse_ringspec(
+    "vars = [x, y, z]; weights = [4, 5, 6]; "
+    "ideal = [y^2 - x*z, z^2 - x^3]; assume_domain = true;")
 
 
 def p(text, ring=PLANE):
@@ -181,6 +188,106 @@ def test_rank_with_relations():
     assert rank(n) == 0
     torsion = Presentation(CUSP, gens("t",), ((p("x", CUSP),),))
     assert rank(torsion) == 0
+
+
+def _minor_rank(m):
+    """Reference rank: ngens minus the size of the largest minor of the
+    relation matrix that is nonzero in R, searched from the largest down."""
+    rows, cache = m.relations, {}
+    for size in range(min(len(rows), m.ngens), 0, -1):
+        for ridx in combinations(range(len(rows)), size):
+            for cidx in combinations(range(m.ngens), size):
+                if not _minor(rows, ridx, cidx, m.ring, cache).is_zero():
+                    return m.ngens - size
+    return m.ngens
+
+
+def _rational_rank(mat):
+    """Rank over Q of a matrix of Fractions, by plain Gaussian elimination."""
+    mat = [list(r) for r in mat]
+    count = 0
+    for col in range(len(mat[0]) if mat else 0):
+        hit = next((r for r in range(count, len(mat)) if mat[r][col]), None)
+        if hit is None:
+            continue
+        mat[count], mat[hit] = mat[hit], mat[count]
+        for r in range(len(mat)):
+            if r != count and mat[r][col]:
+                f = mat[r][col] / mat[count][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[count])]
+        count += 1
+    return count
+
+
+def _evaluate(poly, point):
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(point, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def _random_presentation(ring, rng):
+    """A small random relation matrix; some rows are R-combinations of
+    earlier ones, some are multiples of an ideal generator (zero in R)."""
+    x = [parse_poly(v, ring) for v in ring.variables]
+    monomials = [parse_poly("1", ring)] + x + [a * b for a in x for b in x]
+
+    def entry():
+        if rng.random() < 0.4:
+            return ring.zero()
+        return sum((m.scale(rng.randint(-2, 2))
+                    for m in rng.sample(monomials, rng.randint(1, 2))),
+                   ring.zero())
+
+    ngens = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = entry(), entry()
+            rows.append(tuple(ca * u + cb * v for u, v in zip(a, b)))
+        elif ring.ideal and kind < 0.4:
+            f = rng.choice(ring.ideal)
+            rows.append(tuple(f * entry() for _ in range(ngens)))
+        else:
+            rows.append(tuple(entry() for _ in range(ngens)))
+    return Presentation(ring, gens(*("g%d" % i for i in range(ngens))),
+                        tuple(rows))
+
+
+@pytest.mark.parametrize("ring,seed", [(PLANE, 11), (CUSP, 12), (EX316, 13)],
+                         ids=["plane", "cusp", "ex316"])
+def test_rank_matches_minor_search(ring, seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        m = _random_presentation(ring, rng)
+        assert rank(m) == _minor_rank(m), m.relations
+
+
+@pytest.mark.parametrize("ring,point,seed",
+                         [(CUSP, (1, 1), 21), (EX316, (1, 1, 1), 22)],
+                         ids=["cusp", "ex316"])
+def test_rank_is_bounded_by_a_point_of_the_variety(ring, point, seed):
+    # a minor nonzero at p in V(I) is nonzero in R: rank M <= n - rank A(p)
+    assert all(_evaluate(f, point) == 0 for f in ring.ideal)
+    rng = random.Random(seed)
+    for _ in range(40):
+        m = _random_presentation(ring, rng)
+        at_p = [[_evaluate(e, point) for e in row] for row in m.relations]
+        assert rank(m) <= m.ngens - _rational_rank(at_p)
+
+
+def test_ex316_ranks_beyond_the_minor_search():
+    jets = jq_presentation(omega_presentation(EX316, 1), 1)
+    sym = symmetric_square(omega_presentation(EX316, 2))
+    for m, expected in ((jets, 2), (sym, 3)):
+        assert rank(m) == expected
+        at_p = [[_evaluate(e, (1, 1, 1)) for e in row] for row in m.relations]
+        assert expected <= m.ngens - _rational_rank(at_p)
 
 
 def test_rank_requires_domain():
