@@ -62,7 +62,7 @@ from .resolution import (
     ResolutionReport,
     free_resolution,
     jacobian_regular,
-    minimalize,
+    minimal_resolution,
     projective_dimension,
 )
 

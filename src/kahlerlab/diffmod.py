@@ -176,30 +176,29 @@ def _jet_monomials(ring: RingSpec, q: int) -> Tuple[ExpVec, ...]:
     return tuple(_exponent_vectors(len(ring.variables), q, 0))
 
 
+def _jet_of_element(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
+    """Coordinates of the q-jet of an element of R^k over the symbols
+    D_q[g_t](x^beta), laid out beta-major: entry t fills only the slots
+    position(beta) * k + t, with its expansion coordinates."""
+    k = len(element)
+    betas = _jet_monomials(ring, q)
+    out = [ring.zero()] * (len(betas) * k)
+    for t, entry in enumerate(element):
+        if entry.is_zero():
+            continue
+        coords = dict(_expansion_coords(entry, ring, q))
+        for pos, beta in enumerate(betas):
+            out[pos * k + t] = coords[beta]
+    return tuple(out)
+
+
 def jet_expand(h: Polynomial, ring: RingSpec, q: int, inner_index: int,
                inner_count: int) -> FreeElement:
     """Coordinates of the q-jet of h * e_t over the symbols D_q[g](x^beta),
     laid out beta-major: slot(beta, t) = position(beta) * inner_count + t."""
-    coords = dict(_expansion_coords(h, ring, q))
-    betas = _jet_monomials(ring, q)
-    zero = ring.zero()
-    out = [zero] * (len(betas) * inner_count)
-    for pos, beta in enumerate(betas):
-        out[pos * inner_count + inner_index] = coords[beta]
-    return tuple(out)
-
-
-def _jet_of_element(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
-    """Coordinates of the q-jet of an element of R^k: the sum of the
-    jet_expand of each nonzero entry at its own inner index."""
-    k = len(element)
-    out = tuple(ring.zero() for _ in range(len(_jet_monomials(ring, q)) * k))
-    for t, entry in enumerate(element):
-        if entry.is_zero():
-            continue
-        part = jet_expand(entry, ring, q, t, k)
-        out = tuple(a + b for a, b in zip(out, part))
-    return out
+    element = [ring.zero()] * inner_count
+    element[inner_index] = h
+    return _jet_of_element(tuple(element), ring, q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ set to generate the full syzygy module.
 
 Submodules over a quotient ring R = P/I are handled by the augmentation
 convention: add f*e_k for every ideal generator f and unit vector e_k,
-compute over P, and project/reduce afterwards.  The helpers with
-``_over_ring`` in their name package that convention.
+compute over P, and project/reduce afterwards.  `_ring_run` assembles and
+completes that augmented run for `syzygies_over_ring`, `prune_rows` and
+`solve_linear`; `submodule_over_ring` wraps the same list in a
+`SubmoduleBasis`.
 
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of the tracked reduction in
@@ -24,7 +26,8 @@ of Buchberger, of normal forms and of the tracked reduction in
 go by `_buchberger` and resumed row by row by `prune_rows`; `_syzygy_rows`
 turns tracked syzygies into rows for both `syzygies` and
 `syzygies_over_ring`; `prune_rows` is the greedy pruner of every
-presentation, kernels included.
+presentation, kernels included; a `SubmoduleBasis` answers `normal_form`
+and `contains` from its completed run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -213,7 +216,11 @@ def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
 
 
 def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
-    """Unique reduced monic GB: minimal leads, tails fully reduced, sorted."""
+    """Unique reduced monic GB: minimal leads, tails fully reduced, sorted.
+
+    Each tail is reduced against the whole minimal set: its terms, and all
+    terms the reduction brings in, are smaller than the element's own lead,
+    so that lead never divides one of them."""
     keep: List[int] = []
     for i, e in enumerate(elements):
         redundant = False
@@ -228,20 +235,18 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
             keep.append(i)
     minimal = [elements[i] for i in keep]
     minimal.sort(key=lambda e: _term_key(e.lead, order), reverse=True)
+    by_pos: Dict[int, List[int]] = {}
+    for j, f in enumerate(minimal):
+        by_pos.setdefault(f.lead[0], []).append(j)
     reduced: List[Vec] = []
-    for i, e in enumerate(minimal):
-        others = [f for j, f in enumerate(minimal) if j != i]
-        by_pos: Dict[int, List[int]] = {}
-        for j, f in enumerate(others):
-            by_pos.setdefault(f.lead[0], []).append(j)
-        rem = _reduce(dict(e.vec), None, others, by_pos, order)
-        _make_primitive(rem, None, order)
-        lead = max(rem, key=lambda t: _term_key(t, order))
-        if rem[lead] != 1:
-            _vec_scale(rem, Fraction(1) / rem[lead])
+    for e in minimal:
+        tail = dict(e.vec)
+        del tail[e.lead]
+        rem = {e.lead: e.lc}
+        rem.update(_reduce(tail, None, minimal, by_pos, order))
+        if e.lc != 1:
+            _vec_scale(rem, 1 / e.lc)
         reduced.append(rem)
-    reduced.sort(key=lambda v: _term_key(max(v, key=lambda t: _term_key(t, order)),
-                                         order), reverse=True)
     return reduced
 
 
@@ -268,9 +273,12 @@ def _row_to_vec(row: FreeElement) -> Vec:
 
 
 def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
+    """The first `rank` slots of vec as a row; later positions are dropped
+    (a tracked expression cut to the input rows that come first)."""
     buckets: List[Dict[ExpVec, Fraction]] = [dict() for _ in range(rank)]
     for (pos, exps), coeff in vec.items():
-        buckets[pos][exps] = coeff
+        if pos < rank:
+            buckets[pos][exps] = coeff
     return tuple(Polynomial(variables, b) for b in buckets)
 
 
@@ -279,7 +287,12 @@ def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
 
 
 class SubmoduleBasis:
-    """A generator list plus its cached reduced Groebner basis."""
+    """A generator list plus its completed Buchberger run.
+
+    `normal_form` and `contains` reduce against the run's working elements:
+    they are a Groebner basis, and the full remainder modulo any Groebner
+    basis is the same.  The reduced monic basis is built only when
+    `groebner` or `groebner_rows()` is read."""
 
     def __init__(self, generators: Sequence, order: MonomialOrder,
                  rank: Optional[int] = None,
@@ -309,17 +322,16 @@ class SubmoduleBasis:
         self.generators: Tuple[FreeElement, ...] = tuple(rows)
         self.order = order
         self._groebner: Optional[List[Vec]] = None
-        self._reducers: Optional[Tuple[List[_Elt], Dict[int, List[int]]]] = None
+
+    @cached_property
+    def _run(self) -> _BuchbergerRun:
+        inputs = [_row_to_vec(r) for r in self.generators]
+        return _buchberger(inputs, self.order, self.rank, track=False)
 
     @property
     def groebner(self) -> List[Vec]:
         if self._groebner is None:
-            if not self.generators:
-                self._groebner = []
-            else:
-                inputs = [_row_to_vec(r) for r in self.generators]
-                run = _buchberger(inputs, self.order, self.rank, track=False)
-                self._groebner = _reduced_basis(run.elements, self.order)
+            self._groebner = _reduced_basis(self._run.elements, self.order)
         return self._groebner
 
     def groebner_rows(self) -> List[FreeElement]:
@@ -327,14 +339,8 @@ class SubmoduleBasis:
 
     def normal_form(self, value):
         row = _as_row(value, self.rank)
-        if self._reducers is None:
-            elements = [_Elt(dict(v), None, self.order) for v in self.groebner]
-            by_pos: Dict[int, List[int]] = {}
-            for i, e in enumerate(elements):
-                by_pos.setdefault(e.lead[0], []).append(i)
-            self._reducers = (elements, by_pos)
-        elements, by_pos = self._reducers
-        rem = _reduce(_row_to_vec(row), None, elements, by_pos, self.order)
+        rem = _reduce(_row_to_vec(row), None, self._run.elements,
+                      self._run.by_pos, self.order)
         out = _vec_to_row(rem, self.rank, self.variables)
         if isinstance(value, Polynomial):
             return out[0]
@@ -361,8 +367,7 @@ def normal_form(value, basis: SubmoduleBasis):
     return basis.normal_form(value)
 
 
-def _syzygy_rows(raw: List[Vec], t: int, width: int,
-                 variables: Tuple[str, ...],
+def _syzygy_rows(raw: List[Vec], t: int, variables: Tuple[str, ...],
                  clean: Callable[[FreeElement], FreeElement],
                  order: MonomialOrder) -> List[FreeElement]:
     """Tracked syzygies as rows: cut to the first t slots, passed through
@@ -370,7 +375,7 @@ def _syzygy_rows(raw: List[Vec], t: int, width: int,
     rows: List[FreeElement] = []
     seen = set()
     for vec in raw:
-        row = clean(_vec_to_row(vec, width, variables)[:t])
+        row = clean(_vec_to_row(vec, t, variables))
         if all(p.is_zero() for p in row):
             continue
         key = tuple(tuple(sorted(p.terms.items())) for p in row)
@@ -404,8 +409,7 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
         assert all(p.is_zero() for p in combo), "tracked syzygy failed to vanish"
         return row
 
-    rows = _syzygy_rows(raw, len(gens), len(gens), basis.variables, vanishes,
-                        basis.order)
+    rows = _syzygy_rows(raw, len(gens), basis.variables, vanishes, basis.order)
     return SubmoduleBasis(rows, basis.order, rank=len(gens),
                           variables=basis.variables)
 
@@ -437,11 +441,23 @@ def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
     return rows
 
 
+def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
+              track: bool) -> _BuchbergerRun:
+    """Completed run over P on rows + I*P^rank, the rows first (so tracked
+    expressions number them from 0)."""
+    items = [_as_row(r, rank) for r in rows] + _ideal_unit_rows(rank, ring)
+    return _buchberger([_row_to_vec(r) for r in items], ring.order(), rank,
+                       track)
+
+
 def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
                         ring: RingSpec) -> SubmoduleBasis:
-    """Basis of span(rows) + I*P^rank; `contains` decides membership over R."""
-    items = [_as_row(r, rank) for r in rows] + _ideal_unit_rows(rank, ring)
-    return SubmoduleBasis(items, ring.order(), rank=rank, variables=ring.variables)
+    """Basis of span(rows) + I*P^rank; `contains` decides membership over R.
+    Zero rows add nothing to the span and are dropped."""
+    items = [row for row in (_as_row(r, rank) for r in rows)
+             if not all(p.is_zero() for p in row)]
+    return SubmoduleBasis(items + _ideal_unit_rows(rank, ring), ring.order(),
+                          rank=rank, variables=ring.variables)
 
 
 def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
@@ -451,14 +467,10 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
     Computed over P against the ideal-augmented list, projected onto the
     row block, coefficient-reduced modulo I, zero rows dropped.
     """
-    rows = [_as_row(r, rank) for r in rows]
-    t = len(rows)
-    if t == 0:
+    if not rows:
         return []
-    items = rows + _ideal_unit_rows(rank, ring)
-    inputs = [_row_to_vec(r) for r in items]
-    raw = _buchberger(inputs, ring.order(), rank, track=True).syzygies
-    return _syzygy_rows(raw, t, len(items), ring.variables,
+    raw = _ring_run(rows, rank, ring, track=True).syzygies
+    return _syzygy_rows(raw, len(rows), ring.variables,
                         lambda row: tuple(nf_poly(p, ring) for p in row),
                         ring.order())
 
@@ -489,9 +501,7 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     of span(kept + base) + I*P^rank; a zero remainder means membership,
     otherwise the remainder joins the run and the row itself is kept.
     """
-    seeds = [_as_row(r, rank) for r in base] + _ideal_unit_rows(rank, ring)
-    run = _buchberger([_row_to_vec(r) for r in seeds], ring.order(), rank,
-                      track=False)
+    run = _ring_run(base, rank, ring, track=False)
     kept: List[FreeElement] = []
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
@@ -535,18 +545,15 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     columns: List[FreeElement] = []
     for j in range(ncols):
         columns.append(tuple(rows[i][j] for i in range(nrows)))
-    items = columns + _ideal_unit_rows(nrows, ring)
-    inputs = [_row_to_vec(_as_row(r, nrows)) for r in items]
-    order = ring.order()
-    run = _buchberger(inputs, order, nrows, track=True)
-    work = _row_to_vec(_as_row(b, nrows))
+    run = _ring_run(columns, nrows, ring, track=True)
     acc: Vec = {}
-    remainder = _reduce(work, acc, run.elements, run.by_pos, order)
+    remainder = _reduce(_row_to_vec(_as_row(b, nrows)), acc, run.elements,
+                        run.by_pos, ring.order())
     if remainder:
         return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
     # _reduce subtracts from acc, so acc now expresses -b
-    tracked = _vec_to_row(acc, len(inputs), ring.variables)
-    return Solution(tuple(nf_poly(-p, ring) for p in tracked[:ncols]))
+    tracked = _vec_to_row(acc, ncols, ring.variables)
+    return Solution(tuple(nf_poly(-p, ring) for p in tracked))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from .groebner import (
     submodule_over_ring,
     syzygies,
 )
-from .diffmod import DeltaBasis, delta_expand, delta_expand_via_products
+from .diffmod import (DeltaBasis, _exponent_vectors, delta_expand,
+                      delta_expand_via_products)
 
 XY = ("x", "y")
 PLANE = make_ringspec(XY)
@@ -154,31 +155,14 @@ def run_relation_set_equivalence(rng: random.Random, cases: int) -> int:
         q = rng.choice((1, 2))
         basis = DeltaBasis(ring, q)
         nvars = len(ring.variables)
-
-        def shifts(limit):
-            out = [()]
-            # all exponent vectors with total degree <= limit
-            def rec(prefix, remaining, slots):
-                if slots == 0:
-                    out.append(tuple(prefix))
-                    return
-                for e in range(remaining + 1):
-                    rec(prefix + [e], remaining - e, slots - 1)
-            out.clear()
-            rec([], limit, nvars)
-            return [b for b in out if sum(b) <= limit]
-
         low_rows = []
         for f in ring.ideal:
-            for beta in shifts(q - 1):
+            for beta in _exponent_vectors(nvars, q - 1, 0):
                 mono = Polynomial.monomial(ring.variables, beta)
                 low_rows.append(delta_expand(mono * f, ring, q, basis))
-        low_rows = [r for r in low_rows if any(not c.is_zero() for c in r)]
         span = submodule_over_ring(low_rows, len(basis.monomials), ring)
         for f in ring.ideal:
-            for beta in shifts(q):
-                if sum(beta) != q:
-                    continue
+            for beta in _exponent_vectors(nvars, q, q):
                 mono = Polynomial.monomial(ring.variables, beta)
                 row = delta_expand(mono * f, ring, q, basis)
                 assert span.contains(row)

@@ -5,16 +5,16 @@ relation matrix of the presentation on its given generators, step i+1
 lists a pruned generating set of the syzygy module of step i, and the
 chain stops at the first zero syzygy module or at the cutoff.
 
-The minimal chain is built once per (module, cutoff) and cached: it
-starts from minimal_presentation and sweeps scalar pivots at every level,
-since a nonzero constant entry in a step matrix certifies that one
-generator of the level below is an R-combination of the others, so the
-pivot row, its column, and that generator are removed.  It never reads
-the raw resolution.  On graded input (and on input whose entries all
-vanish at the origin) its Betti numbers are the minimal ones; if a unit
-that is not an exact constant survives, the elimination is incomplete
-and the build raises instead of guessing.  minimalize(r) is that chain
-for r's module and cutoff, padded to r's Betti length.
+minimal_resolution(m, cutoff) is built once per (module, cutoff) and
+cached: it starts from minimal_presentation and sweeps scalar pivots at
+every level, since a nonzero constant entry in a step matrix certifies
+that one generator of the level below is an R-combination of the others,
+so the pivot row, its column, and that generator are removed.  It never
+builds the raw resolution.  On graded input (and on input whose entries
+all vanish at the origin) its Betti numbers are the minimal ones; if a
+unit that is not an exact constant survives, the elimination is
+incomplete and the build raises instead of guessing.  Callers pass the
+cutoff positionally, so the cache holds one entry per (module, cutoff).
 
 projective_dimension reads its verdict off the minimal chain alone:
 Finite at the last nonzero step when the chain terminates, AtLeast(cutoff)
@@ -150,7 +150,6 @@ def _report(m: Presentation, steps, terminated: bool,
                             _graded_chain(m, steps))
 
 
-@lru_cache(maxsize=None)
 def free_resolution(m: Presentation, cutoff: int = 6) -> ResolutionReport:
     """Resolve M on its given generators; Betti numbers are the raw ranks."""
     if cutoff < 1:
@@ -176,9 +175,10 @@ def minimal_presentation(m: Presentation) -> Presentation:
 
 
 @lru_cache(maxsize=None)
-def _minimal_resolution(m: Presentation, cutoff: int) -> ResolutionReport:
-    """The chain of minimal_presentation(m) with scalar pivots swept at
-    every level; its rows are already pruned, so they enter _chain as is."""
+def minimal_resolution(m: Presentation, cutoff: int = 6) -> ResolutionReport:
+    """The minimal chain of m, at most `cutoff` steps: minimal_presentation(m)
+    with scalar pivots swept at every level; its rows are already pruned,
+    so they enter _chain as is."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     mp = minimal_presentation(m)
@@ -194,27 +194,11 @@ def _minimal_resolution(m: Presentation, cutoff: int) -> ResolutionReport:
     return _report(mp, steps, terminated, cutoff)
 
 
-def minimalize(r: ResolutionReport) -> ResolutionReport:
-    """The minimal chain of r's module and cutoff, scalar pivots eliminated
-    at every level.
-
-    The Betti column keeps the raw report's length (trailing zeros) so a
-    swept generator shows up as a drop in two consecutive spots.
-    """
-    out = _minimal_resolution(r.module, r.cutoff)
-    pad = len(r.betti) - len(out.betti)
-    if not out.terminated or pad <= 0:
-        return out
-    return ResolutionReport(out.module, out.steps + ((),) * pad,
-                            out.betti + (0,) * pad, out.terminated,
-                            out.cutoff, out.graded)
-
-
 def projective_dimension(m: Presentation, cutoff: int = 6):
     """Verdict from the minimal chain alone (the raw resolution is never
     built): Finite(last nonzero step) when it terminates within the
     cutoff, else AtLeast(cutoff)."""
-    r = _minimal_resolution(m, cutoff)
+    r = minimal_resolution(m, cutoff)
     if not r.terminated:
         return AtLeast(cutoff)
     return Finite(max((i for i, b in enumerate(r.betti) if b), default=0))

@@ -47,7 +47,7 @@ from kahlerlab.resolution import (
     AtLeast,
     Finite,
     free_resolution,
-    minimalize,
+    minimal_resolution,
     projective_dimension,
 )
 
@@ -207,7 +207,7 @@ def test_criterion_06_cusp_jet_module_resolution():
     # the Groebner engine.
     with budget(30):
         jets = jq_presentation(omega_presentation(CUSP, 1), 1)
-        mr = minimalize(free_resolution(jets, cutoff=6))
+        mr = minimal_resolution(jets, 6)
         assert mr.betti == (5, 4, 2, 2, 2, 2, 2)
         assert not mr.terminated
         assert projective_dimension(jets) == AtLeast(6)
@@ -356,7 +356,7 @@ def test_criterion_07_jets_of_ring_decompose():
 def test_criterion_08_weighted_ring_pd():
     with budget(120):
         assert _pd("ex316", 1, 6) == Finite(1)
-        r = minimalize(free_resolution(omega_presentation(EX316, 2), cutoff=5))
+        r = minimal_resolution(omega_presentation(EX316, 2), 5)
         assert not r.terminated
         assert len(r.betti) == 6
         assert all(b > 0 for b in r.betti)

@@ -1,18 +1,23 @@
 """Tests for the Groebner/normal-form/syzygy engine."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from kahlerlab.diffmod import DeltaBasis, _omega_rows, theta_to_first
+from kahlerlab.diffmod import (DeltaBasis, _omega_rows, jq_presentation,
+                               omega_presentation, theta_to_first)
 from kahlerlab.groebner import (
     NoSolution,
     Solution,
     SubmoduleBasis,
     _buchberger,
+    _Elt,
     _ideal_unit_rows,
+    _reduce,
     _reduced_basis,
     _row_to_vec,
+    _vec_to_row,
     groebner_basis,
     krull_dimension,
     nf_poly,
@@ -25,6 +30,7 @@ from kahlerlab.groebner import (
 )
 from kahlerlab.parser import make_ringspec, parse_poly, parse_ringspec
 from kahlerlab.poly import MonomialOrder, Polynomial
+from kahlerlab.presentations import relation_basis
 
 CUSP = parse_ringspec(
     "vars = [x, y]; weights = [2, 3]; ideal = [y^2 - x^3]; assume_domain = true;")
@@ -187,6 +193,54 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     assert absorbed[0] and not absorbed[-1]
     assert (_reduced_basis(run.elements, EX316.order())
             == SubmoduleBasis(rows + seeds, EX316.order()).groebner)
+
+
+def _reduced_basis_normal_form(basis, row):
+    """Reference normal form: full reduction against the reduced monic
+    basis, a second Groebner basis of the same submodule."""
+    elements = [_Elt(dict(v), None, basis.order) for v in basis.groebner]
+    by_pos = {}
+    for i, e in enumerate(elements):
+        by_pos.setdefault(e.lead[0], []).append(i)
+    rem = _reduce(_row_to_vec(row), None, elements, by_pos, basis.order)
+    return _vec_to_row(rem, basis.rank, basis.variables)
+
+
+def _random_entry(rng, ring):
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        exps = tuple(rng.randrange(4) for _ in ring.variables)
+        terms[exps] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return Polynomial(ring.variables, terms)
+
+
+_NF_MODULES = {
+    "omega2-cusp": lambda: omega_presentation(CUSP, 2),
+    "jets-omega1-cusp": lambda: jq_presentation(omega_presentation(CUSP, 1), 1),
+    "omega2-ex316": lambda: omega_presentation(EX316, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_NF_MODULES))
+def test_run_normal_form_matches_the_reduced_basis(name):
+    m = _NF_MODULES[name]()
+    basis = relation_basis(m)
+    rng = random.Random(4100 + len(name))
+    zero = m.ring.zero()
+    members = 0
+    for _ in range(30):
+        row = tuple(_random_entry(rng, m.ring) for _ in range(m.ngens))
+        if rng.random() < 0.5:
+            # an R-combination of the relations, plus the noise half the time
+            if rng.random() < 0.5:
+                row = (zero,) * m.ngens
+            for rel in m.relations:
+                c = _random_entry(rng, m.ring)
+                row = tuple(a + c * b for a, b in zip(row, rel))
+        got = basis.normal_form(row)
+        assert got == _reduced_basis_normal_form(basis, row)
+        members += all(e.is_zero() for e in got)
+    assert 0 < members < 30
 
 
 def test_solve_linear_polynomial_identity():

@@ -125,6 +125,13 @@ def test_koszul_complex_is_exact():
     assert verdicts == [True, True]
 
 
+def test_check_exact_with_a_zero_map():
+    # ker(id) = 0 = im(0): the zero column adds nothing to the image
+    source = free_presentation(CUSP, gens("w",))
+    omega = omega_presentation(CUSP, 1)
+    assert check_exact([zero_map(source, omega), identity_map(omega)]) == [True]
+
+
 def test_check_exact_flags_failure():
     left = free_presentation(PLANE, gens("w",))
     mid = free_presentation(PLANE, gens("a", "b"))
