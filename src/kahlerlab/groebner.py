@@ -1,10 +1,21 @@
 """Groebner bases, normal forms and syzygies for submodules of free modules.
 
 Elements of a free module P^n are sparse dicts mapping (position, exponent
-vector) to a Fraction.  The module order is position-over-term: terms at a
-lower position index are larger, ties within a position follow the ring's
+vector) to a coefficient.  The module order is position-over-term: terms at
+a lower position index are larger, ties within a position follow the ring's
 monomial order.  Buchberger runs with the normal selection strategy
 (smallest lcm first) and a first-match reducer, so output is deterministic.
+
+The engine works fraction-free over the integers.  Every working element is
+primitive: coprime int coefficients and a positive lead.  `_reduce` clears
+the denominators of its input once and then scales the target by
+lc/gcd(a, lc) before each subtraction, so it returns m * NF(vec) for a known
+positive int m (Cox-Little-O'Shea, ch. 2; the scaling of Bareiss).  Only the
+API boundary divides by m, with Fraction: `normal_form`, `solve_linear` and
+the monic `_reduced_basis`.  Since m > 0 and `_make_primitive` normalises
+scale and sign, every working element, kept row, syzygy and remainder is the
+value a rational reduction gives.  Pending terms wait in a heap keyed by the
+order's memoised `low_key`.
 
 Syzygies are collected by expression tracking: every basis element carries
 its representation over the *original* generator list, and every S-pair
@@ -38,19 +49,24 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import ExpVec, MonomialOrder, Polynomial
 from .parser import RingSpec
 
 Term = Tuple[int, ExpVec]          # (position, monomial)
-Vec = Dict[Term, Fraction]         # sparse free-module element
+Vec = Dict[Term, Union[int, Fraction]]   # sparse free-module element
 FreeElement = Tuple[Polynomial, ...]
 
 
-def _term_key(term: Term, order: MonomialOrder):
-    # position-over-term, top (low-index) positions first
-    return (-term[0], order.key(term[1]))
+def _low_term_key(term: Term, order: MonomialOrder):
+    # position-over-term, reversed: the largest term has the smallest key
+    return (term[0], order.low_key(term[1]))
+
+
+def _lead(vec: Vec, order: MonomialOrder) -> Term:
+    """The leading term: the lowest position, then the largest monomial."""
+    return min(vec, key=lambda t: _low_term_key(t, order))
 
 
 def _divides(a: ExpVec, b: ExpVec) -> bool:
@@ -61,24 +77,26 @@ def _monomial_mul(a: ExpVec, b: ExpVec) -> ExpVec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_submul(target: Vec, coeff: Fraction, mono: ExpVec, src: Vec) -> None:
+def _vec_submul(target: Vec, coeff, mono: ExpVec, src: Vec) -> None:
     """target -= coeff * x^mono * src, in place."""
     for (pos, exps), c in src.items():
         key = (pos, _monomial_mul(mono, exps))
-        acc = target.get(key, Fraction(0)) - coeff * c
+        acc = target.get(key)
+        acc = -coeff * c if acc is None else acc - coeff * c
         if acc:
             target[key] = acc
         else:
-            target.pop(key, None)
+            del target[key]
 
 
-def _vec_scale(vec: Vec, c: Fraction) -> None:
+def _vec_scale(vec: Vec, c) -> None:
     for key in vec:
         vec[key] *= c
 
 
 def _make_primitive(vec: Vec, expr: Optional[Vec], order: MonomialOrder) -> None:
-    """Scale so coefficients are coprime integers and the lead is positive."""
+    """Scale to coprime int coefficients with a positive lead; expr is
+    scaled by the same factor (an int factor keeps int entries int)."""
     if not vec:
         return
     den = 1
@@ -86,15 +104,14 @@ def _make_primitive(vec: Vec, expr: Optional[Vec], order: MonomialOrder) -> None
         den = lcm(den, c.denominator)
     num = 0
     for c in vec.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num) if num else Fraction(1)
-    lead = max(vec, key=lambda t: _term_key(t, order))
-    if vec[lead] < 0:
-        scale = -scale
-    if scale != 1:
-        _vec_scale(vec, scale)
-        if expr is not None:
-            _vec_scale(expr, scale)
+        num = gcd(num, c.numerator * (den // c.denominator))
+    if vec[_lead(vec, order)] < 0:
+        num = -num
+    for key, c in vec.items():
+        vec[key] = c.numerator * (den // c.denominator) // num
+    if expr is not None and den != num:
+        scale = Fraction(den, num)
+        _vec_scale(expr, scale.numerator if scale.denominator == 1 else scale)
 
 
 class _Elt:
@@ -103,16 +120,37 @@ class _Elt:
     def __init__(self, vec: Vec, expr: Optional[Vec], order: MonomialOrder):
         self.vec = vec
         self.expr = expr
-        self.lead = max(vec, key=lambda t: _term_key(t, order))
+        self.lead = _lead(vec, order)
         self.lc = vec[self.lead]
 
 
 def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
-            by_pos: Dict[int, List[int]], order: MonomialOrder) -> Vec:
-    """Full normal form of vec against elements; expr is updated in place."""
+            by_pos: Dict[int, List[int]],
+            order: MonomialOrder) -> Tuple[Vec, int]:
+    """Fraction-free full normal form of vec against int elements with
+    positive leads.
+
+    Returns (rem, m): m is a positive int and rem = m * NF(vec), with int
+    coefficients.  vec is left as it is; expr is scaled and reduced in
+    place alongside, so it ends as m times the expression the rational
+    reduction would leave.  The pending terms sit in a min-heap of low
+    keys with lazy deletion: an entry whose term has cancelled is skipped.
+    """
+    m = 1
+    for c in vec.values():
+        m = lcm(m, c.denominator)
+    target = {t: c.numerator * (m // c.denominator) for t, c in vec.items()}
+    if expr is not None and m != 1:
+        _vec_scale(expr, m)
+    low = order.low_key
+    heap = [(t[0], low(t[1]), t) for t in target]
+    heapq.heapify(heap)
     result: Vec = {}
-    while vec:
-        term = max(vec, key=lambda t: _term_key(t, order))
+    while heap:
+        term = heapq.heappop(heap)[2]
+        a = target.get(term)
+        if a is None:
+            continue
         pos, exps = term
         reducer = None
         for idx in by_pos.get(pos, ()):
@@ -121,14 +159,36 @@ def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
                 reducer = g
                 break
         if reducer is None:
-            result[term] = vec.pop(term)
+            result[term] = target.pop(term)
             continue
-        coeff = vec[term] / reducer.lc
-        shift = tuple(a - b for a, b in zip(exps, reducer.lead[1]))
-        _vec_submul(vec, coeff, shift, reducer.vec)
+        lc = reducer.lc
+        g = gcd(a, lc)
+        if g != lc:
+            f = lc // g
+            m *= f
+            target = {t: c * f for t, c in target.items()}
+            result = {t: c * f for t, c in result.items()}
+            if expr is not None:
+                _vec_scale(expr, f)
+        coeff = a // g
+        shift = tuple(x - y for x, y in zip(exps, reducer.lead[1]))
+        # the lead cancels against term, so it needs no heap entry
+        for (rpos, rexps), c in reducer.vec.items():
+            mono = tuple(x + y for x, y in zip(shift, rexps))
+            key = (rpos, mono)
+            acc = target.get(key)
+            if acc is None:
+                target[key] = -coeff * c
+                heapq.heappush(heap, (rpos, low(mono), key))
+            else:
+                acc -= coeff * c
+                if acc:
+                    target[key] = acc
+                else:
+                    del target[key]
         if expr is not None and reducer.expr is not None:
             _vec_submul(expr, coeff, shift, reducer.expr)
-    return result
+    return result, m
 
 
 class _BuchbergerRun:
@@ -181,7 +241,8 @@ class _BuchbergerRun:
                 expr = {}
                 _vec_submul(expr, -gj.lc, shift_i, gi.expr)
                 _vec_submul(expr, gi.lc, shift_j, gj.expr)
-            remainder = _reduce(vec, expr, self.elements, self.by_pos, self.order)
+            remainder, _ = _reduce(vec, expr, self.elements, self.by_pos,
+                                   self.order)
             if remainder:
                 self.add(remainder, expr)
             elif self.track and expr:
@@ -189,9 +250,10 @@ class _BuchbergerRun:
                 self.syzygies.append(expr)
 
     def absorb(self, vec: Vec) -> bool:
-        """On a completed untracked run: False if vec (consumed) lies in the
-        submodule, else add its remainder, complete the new pairs, True."""
-        remainder = _reduce(vec, None, self.elements, self.by_pos, self.order)
+        """On a completed untracked run: False if vec lies in the submodule,
+        else add its remainder, complete the new pairs, True."""
+        remainder, _ = _reduce(vec, None, self.elements, self.by_pos,
+                               self.order)
         if remainder:
             self.add(remainder, None)
             self.complete()
@@ -205,7 +267,7 @@ def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
     nvars = next((len(exps) for vec in inputs for (_, exps) in vec), 0)
     zero_exps = (0,) * nvars
     for i, vec in enumerate(inputs):
-        expr = {(i, zero_exps): Fraction(1)} if track else None
+        expr = {(i, zero_exps): 1} if track else None
         if not vec:
             if track:
                 run.syzygies.append(dict(expr))
@@ -234,7 +296,7 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
         if not redundant:
             keep.append(i)
     minimal = [elements[i] for i in keep]
-    minimal.sort(key=lambda e: _term_key(e.lead, order), reverse=True)
+    minimal.sort(key=lambda e: _low_term_key(e.lead, order))
     by_pos: Dict[int, List[int]] = {}
     for j, f in enumerate(minimal):
         by_pos.setdefault(f.lead[0], []).append(j)
@@ -242,10 +304,10 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
     for e in minimal:
         tail = dict(e.vec)
         del tail[e.lead]
-        rem = {e.lead: e.lc}
-        rem.update(_reduce(tail, None, minimal, by_pos, order))
-        if e.lc != 1:
-            _vec_scale(rem, 1 / e.lc)
+        tail_rem, m = _reduce(tail, None, minimal, by_pos, order)
+        rem = {e.lead: e.lc * m}
+        rem.update(tail_rem)
+        _vec_scale(rem, Fraction(1, e.lc * m))
         reduced.append(rem)
     return reduced
 
@@ -339,8 +401,9 @@ class SubmoduleBasis:
 
     def normal_form(self, value):
         row = _as_row(value, self.rank)
-        rem = _reduce(_row_to_vec(row), None, self._run.elements,
-                      self._run.by_pos, self.order)
+        rem, m = _reduce(_row_to_vec(row), None, self._run.elements,
+                         self._run.by_pos, self.order)
+        _vec_scale(rem, Fraction(1, m))
         out = _vec_to_row(rem, self.rank, self.variables)
         if isinstance(value, Polynomial):
             return out[0]
@@ -383,9 +446,7 @@ def _syzygy_rows(raw: List[Vec], t: int, variables: Tuple[str, ...],
             continue
         seen.add(key)
         rows.append(row)
-    rows.sort(key=lambda r: _term_key(
-        max(_row_to_vec(r), key=lambda term: _term_key(term, order)), order),
-        reverse=True)
+    rows.sort(key=lambda r: _low_term_key(_lead(_row_to_vec(r), order), order))
     return rows
 
 
@@ -426,10 +487,17 @@ def ring_groebner(ring: RingSpec) -> SubmoduleBasis:
 
 
 def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
-    """Normal form of a coefficient modulo the defining ideal."""
-    if not ring.ideal:
+    """Normal form of a coefficient modulo the defining ideal.
+
+    A zero p, and a p with no term divisible by a lead monomial of the
+    ideal's basis, is its own normal form and comes back as it is."""
+    if not ring.ideal or not p.terms:
         return p
-    return ring_groebner(ring).normal_form(p)
+    basis = ring_groebner(ring)
+    leads = [g.lead[1] for g in basis._run.elements]
+    if not any(_divides(lead, exps) for exps in p.terms for lead in leads):
+        return p
+    return basis.normal_form(p)
 
 
 def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
@@ -486,7 +554,8 @@ def row_lead_key(row: FreeElement, ring: RingSpec):
     if not vec:
         return (float("-inf"), ())
     order = ring.order()
-    return _term_key(max(vec, key=lambda t: _term_key(t, order)), order)
+    pos, exps = _lead(vec, order)
+    return (-pos, order.key(exps))
 
 
 def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
@@ -547,11 +616,13 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
         columns.append(tuple(rows[i][j] for i in range(nrows)))
     run = _ring_run(columns, nrows, ring, track=True)
     acc: Vec = {}
-    remainder = _reduce(_row_to_vec(_as_row(b, nrows)), acc, run.elements,
-                        run.by_pos, ring.order())
+    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), acc, run.elements,
+                           run.by_pos, ring.order())
     if remainder:
+        _vec_scale(remainder, Fraction(1, m))
         return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
-    # _reduce subtracts from acc, so acc now expresses -b
+    # _reduce subtracts from acc, so acc now expresses -m*b
+    _vec_scale(acc, Fraction(1, m))
     tracked = _vec_to_row(acc, ncols, ring.variables)
     return Solution(tuple(nf_poly(-p, ring) for p in tracked))
 
@@ -568,8 +639,9 @@ def krull_dimension(ring: RingSpec) -> int:
     inside S.  Returns -1 for the zero ring (1 in the ideal).
     """
     supports = []
+    order = ring.order()
     for vec in ring_groebner(ring).groebner:
-        (_, exps) = max(vec, key=lambda t: _term_key(t, ring.order()))
+        (_, exps) = _lead(vec, order)
         supports.append(frozenset(i for i, e in enumerate(exps) if e))
     s = len(ring.variables)
     for size in range(s, -1, -1):

@@ -32,6 +32,10 @@ EXPONENT_LIMIT = 10 ** 9
 
 _ORDER_KINDS = ("lex", "degrevlex", "weighted")
 
+# Entries an order keeps in each key memo before it starts the memo afresh,
+# so a long-lived order (a cached ring basis) stays bounded.
+KEY_MEMO_LIMIT = 1 << 14
+
 
 class ExponentOverflowError(OverflowError):
     """A monomial exponent exceeded EXPONENT_LIMIT."""
@@ -61,9 +65,12 @@ class MonomialOrder:
 
     ``key`` maps an exponent vector to a tuple that sorts in order
     (bigger key = bigger monomial), so it can be fed straight to ``sorted``.
+    ``low_key`` is its reverse (smaller low key = bigger monomial), the
+    form a min-heap of pending terms wants.  Both are memoised per order
+    instance, up to ``KEY_MEMO_LIMIT`` entries each.
     """
 
-    __slots__ = ("kind", "weights")
+    __slots__ = ("kind", "weights", "_keys", "_low_keys")
 
     def __init__(self, kind: str = "degrevlex", weights: Optional[Sequence[int]] = None):
         if kind not in _ORDER_KINDS:
@@ -79,6 +86,8 @@ class MonomialOrder:
                 raise ValueError("weights only apply to the weighted kind")
             self.weights = None
         self.kind = kind
+        self._keys: Dict[ExpVec, tuple] = {}
+        self._low_keys: Dict[ExpVec, tuple] = {}
 
     def degree(self, exps: ExpVec) -> int:
         if self.kind == "weighted":
@@ -86,9 +95,29 @@ class MonomialOrder:
         return sum(exps)
 
     def key(self, exps: ExpVec):
-        if self.kind == "lex":
-            return tuple(exps)
-        return (self.degree(exps), tuple(-e for e in exps))
+        k = self._keys.get(exps)
+        if k is None:
+            if len(self._keys) >= KEY_MEMO_LIMIT:
+                self._keys.clear()
+            if self.kind == "lex":
+                k = tuple(exps)
+            else:
+                k = (self.degree(exps), tuple(-e for e in exps))
+            self._keys[exps] = k
+        return k
+
+    def low_key(self, exps: ExpVec):
+        """``(-degree, exps)``, or ``-exps`` for lex: sorts in reverse order."""
+        k = self._low_keys.get(exps)
+        if k is None:
+            if len(self._low_keys) >= KEY_MEMO_LIMIT:
+                self._low_keys.clear()
+            if self.kind == "lex":
+                k = tuple(-e for e in exps)
+            else:
+                k = (-self.degree(exps), exps)
+            self._low_keys[exps] = k
+        return k
 
     def sort_terms(self, poly: "Polynomial") -> List[Tuple[ExpVec, Fraction]]:
         """Terms of ``poly`` in descending order (leading term first)."""
@@ -113,6 +142,13 @@ class MonomialOrder:
         return "MonomialOrder(%r, weights=%r)" % (self.kind, self.weights)
 
 
+def _coefficient(value) -> Fraction:
+    """An exact coefficient; a float is refused, since Fraction(1/3) is not 1/3."""
+    if isinstance(value, float):
+        raise TypeError("float coefficient %r: use int or Fraction" % (value,))
+    return Fraction(value)
+
+
 class Polynomial:
     """Immutable exact polynomial; ``terms`` maps ExpVec -> nonzero Fraction."""
 
@@ -123,7 +159,8 @@ class Polynomial:
         clean: Dict[ExpVec, Fraction] = {}
         n = len(variables)
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = _coefficient(coeff)
             if not coeff:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -147,7 +184,7 @@ class Polynomial:
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "Polynomial":
         n = len(variables)
-        return cls(variables, {(0,) * n: Fraction(value)})
+        return cls(variables, {(0,) * n: value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
@@ -157,7 +194,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: ExpVec, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- predicates and views -----------------------------------------
 
@@ -253,7 +290,7 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})

@@ -300,3 +300,12 @@ def test_rank_of_jets_of_omega_on_ex316(capsys):
         "--ring", str(REPO / "src" / "kahlerlab" / "corpus" / "ex316.ring")])
     assert code == 0
     assert out == "rank = 2\n"
+
+
+def test_jets_of_omega_q2_on_ex316_matches_recorded_stdout(capsys):
+    code, out, _ = run(capsys, [
+        "jets", "-q", "2", "--module", "omega",
+        "--ring", str(REPO / "src" / "kahlerlab" / "corpus" / "ex316.ring")])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85fb86542e7ed3e089d6371d26cb1e267ca438b47dbecab8c264d6618b7557bb")

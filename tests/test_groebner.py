@@ -1,7 +1,9 @@
 """Tests for the Groebner/normal-form/syzygy engine."""
 
+import heapq
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -12,10 +14,9 @@ from kahlerlab.groebner import (
     Solution,
     SubmoduleBasis,
     _buchberger,
-    _Elt,
     _ideal_unit_rows,
-    _reduce,
     _reduced_basis,
+    _ring_run,
     _row_to_vec,
     _vec_to_row,
     groebner_basis,
@@ -23,6 +24,7 @@ from kahlerlab.groebner import (
     nf_poly,
     normal_form,
     prune_rows,
+    ring_groebner,
     solve_linear,
     submodule_over_ring,
     syzygies,
@@ -195,14 +197,176 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
             == SubmoduleBasis(rows + seeds, EX316.order()).groebner)
 
 
+# ---------------------------------------------------------------------------
+# A rational reference engine: Fraction coefficients, each lead found by a
+# linear scan under `MonomialOrder.key`, no heap and no low keys.  It is the
+# engine's reduction loop and pair loop as they stood before the engine went
+# fraction-free over the integers, kept here as an independent model for the
+# fast path to agree with.
+
+
+def _ref_key(term, order):
+    return (-term[0], order.key(term[1]))
+
+
+def _ref_lead(vec, order):
+    return max(vec, key=lambda t: _ref_key(t, order))
+
+
+def _ref_submul(target, coeff, mono, src):
+    for (pos, exps), c in src.items():
+        key = (pos, tuple(a + b for a, b in zip(mono, exps)))
+        acc = target.get(key, Fraction(0)) - coeff * c
+        if acc:
+            target[key] = acc
+        else:
+            target.pop(key, None)
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_reduce(vec, expr, elements, order):
+    """Full rational normal form of vec (consumed) against (vec, expr, lead)
+    elements, first divisible lead wins; expr is updated in place."""
+    result = {}
+    while vec:
+        term = _ref_lead(vec, order)
+        reducer = next((g for g in elements if g[2][0] == term[0]
+                        and _ref_divides(g[2][1], term[1])), None)
+        if reducer is None:
+            result[term] = vec.pop(term)
+            continue
+        gvec, gexpr, glead = reducer
+        coeff = vec[term] / gvec[glead]
+        shift = tuple(a - b for a, b in zip(term[1], glead[1]))
+        _ref_submul(vec, coeff, shift, gvec)
+        if expr is not None and gexpr is not None:
+            _ref_submul(expr, coeff, shift, gexpr)
+    return result
+
+
+def _ref_primitive(vec, expr, order):
+    den = lcm(*(c.denominator for c in vec.values()))
+    num = gcd(*(c.numerator * (den // c.denominator) for c in vec.values()))
+    scale = Fraction(den, num)
+    if vec[_ref_lead(vec, order)] < 0:
+        scale = -scale
+    for part in (vec, expr or {}):
+        for key in part:
+            part[key] *= scale
+
+
+class _RefRun:
+    """A completed rational Buchberger run with the engine's pair order."""
+
+    def __init__(self, inputs, order, rank, track):
+        self.order, self.rank, self.track = order, rank, track
+        self.elements = []
+        self.pairs = []
+        self.syzygies = []
+        zero = (0,) * next(len(e) for vec in inputs for (_, e) in vec)
+        for i, vec in enumerate(inputs):
+            expr = {(i, zero): Fraction(1)} if track else None
+            if not vec:
+                if track:
+                    self.syzygies.append(expr)
+                continue
+            self.add(dict(vec), expr)
+        while self.pairs:
+            _, _, i, j = heapq.heappop(self.pairs)
+            (vi, ei, li), (vj, ej, lj) = self.elements[i], self.elements[j]
+            top = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+            si = tuple(a - b for a, b in zip(top, li[1]))
+            sj = tuple(a - b for a, b in zip(top, lj[1]))
+            vec, expr = {}, ({} if track else None)
+            for part, src_i, src_j in ((vec, vi, vj), (expr, ei, ej)):
+                if part is not None:
+                    _ref_submul(part, -vj[lj], si, src_i)
+                    _ref_submul(part, vi[li], sj, src_j)
+            remainder = _ref_reduce(vec, expr, self.elements, order)
+            if remainder:
+                self.add(remainder, expr)
+            elif track and expr:
+                _ref_primitive(expr, None, order)
+                self.syzygies.append(expr)
+
+    def add(self, vec, expr):
+        _ref_primitive(vec, expr, self.order)
+        lead = _ref_lead(vec, self.order)
+        idx = len(self.elements)
+        for jdx, (_, _, other) in enumerate(self.elements):
+            if other[0] != lead[0]:
+                continue
+            if (not self.track and self.rank == 1
+                    and all(a == 0 or b == 0 for a, b in zip(other[1], lead[1]))):
+                continue
+            top = tuple(max(a, b) for a, b in zip(other[1], lead[1]))
+            heapq.heappush(self.pairs, (self.order.key(top), lead[0], jdx, idx))
+        self.elements.append((vec, expr, lead))
+
+    def reduced_basis(self):
+        """Minimal leads, tails reduced against the minimal set, monic."""
+        minimal = []
+        for i, (_, _, lead) in enumerate(self.elements):
+            if not any(j != i and other[0] == lead[0]
+                       and _ref_divides(other[1], lead[1])
+                       and (other[1] != lead[1] or j < i)
+                       for j, (_, _, other) in enumerate(self.elements)):
+                minimal.append(self.elements[i])
+        minimal.sort(key=lambda e: _ref_key(e[2], self.order), reverse=True)
+        out = []
+        for vec, _, lead in minimal:
+            tail = {t: c for t, c in vec.items() if t != lead}
+            rem = {lead: vec[lead]}
+            rem.update(_ref_reduce(tail, None, minimal, self.order))
+            out.append({t: c / vec[lead] for t, c in rem.items()})
+        return out
+
+
+def _ref_ring_nf(poly, ring):
+    """Rational normal form of one polynomial modulo the ring's ideal."""
+    if not ring.ideal:
+        return poly
+    run = _RefRun([_row_to_vec((f,)) for f in ring.ideal], ring.order(), 1,
+                  track=False)
+    rem = _ref_reduce(_row_to_vec((poly,)), None, run.elements, ring.order())
+    return _vec_to_row(rem, 1, ring.variables)[0]
+
+
+def _ref_syzygy_rows(raw, t, ring):
+    rows, seen = [], set()
+    for vec in raw:
+        row = tuple(_ref_ring_nf(e, ring) for e in _vec_to_row(vec, t, ring.variables))
+        if all(e.is_zero() for e in row) or row in seen:
+            continue
+        seen.add(row)
+        rows.append(row)
+    order = ring.order()
+    rows.sort(key=lambda r: _ref_key(_ref_lead(_row_to_vec(r), order), order),
+              reverse=True)
+    return rows
+
+
+def _ref_solve(A, b, ring):
+    columns = [tuple(row[j] for row in A) for j in range(len(A[0]))]
+    items = columns + _ideal_unit_rows(len(A), ring)
+    run = _RefRun([_row_to_vec(r) for r in items], ring.order(), len(A),
+                  track=True)
+    acc = {}
+    rem = _ref_reduce(_row_to_vec(tuple(b)), acc, run.elements, ring.order())
+    if rem:
+        return NoSolution(_vec_to_row(rem, len(A), ring.variables))
+    tracked = _vec_to_row(acc, len(columns), ring.variables)
+    return Solution(tuple(_ref_ring_nf(-e, ring) for e in tracked))
+
+
 def _reduced_basis_normal_form(basis, row):
-    """Reference normal form: full reduction against the reduced monic
-    basis, a second Groebner basis of the same submodule."""
-    elements = [_Elt(dict(v), None, basis.order) for v in basis.groebner]
-    by_pos = {}
-    for i, e in enumerate(elements):
-        by_pos.setdefault(e.lead[0], []).append(i)
-    rem = _reduce(_row_to_vec(row), None, elements, by_pos, basis.order)
+    """Reference normal form: full rational reduction against the reduced
+    monic basis, a second Groebner basis of the same submodule."""
+    elements = [(v, None, _ref_lead(v, basis.order)) for v in basis.groebner]
+    rem = _ref_reduce(_row_to_vec(row), None, elements, basis.order)
     return _vec_to_row(rem, basis.rank, basis.variables)
 
 
@@ -241,6 +405,99 @@ def test_run_normal_form_matches_the_reduced_basis(name):
         assert got == _reduced_basis_normal_form(basis, row)
         members += all(e.is_zero() for e in got)
     assert 0 < members < 30
+
+
+def _small_entry(rng, ring):
+    """At most two terms of degree below 3 in each variable: small enough
+    that tracked runs over ex316 stay quick."""
+    terms = {}
+    for _ in range(rng.randrange(3)):
+        exps = tuple(rng.randrange(3) for _ in ring.variables)
+        terms[exps] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return Polynomial(ring.variables, terms)
+
+
+def _random_rows(rng, ring, count, rank):
+    rows = []
+    while len(rows) < count:
+        row = tuple(_small_entry(rng, ring) for _ in range(rank))
+        if not all(e.is_zero() for e in row):
+            rows.append(row)
+    return rows
+
+
+def _ref_normal_form(run, row):
+    rem = _ref_reduce(_row_to_vec(row), None, run.elements, run.order)
+    return _vec_to_row(rem, len(row), row[0].variables)
+
+
+@pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
+                         ids=["plane", "cusp", "ex316"])
+def test_engine_matches_the_rational_reference(ring):
+    """Seeded rows with fractional coefficients and negative leads: the
+    fraction-free engine keeps the same working elements, tracked
+    syzygies, reduced basis, normal forms and solutions as the rational
+    reference engine."""
+    rng = random.Random(8200 + len(ring.ideal))
+    order = ring.order()
+    solved = 0
+    for _ in range(3):
+        rows = _random_rows(rng, ring, 3, 2)
+        items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
+        tracked = _RefRun(items, order, 2, track=True)
+        run = _ring_run(rows, 2, ring, track=True)
+        assert [e.vec for e in run.elements] == [e[0] for e in tracked.elements]
+        assert [e.expr for e in run.elements] == [e[1] for e in tracked.elements]
+        assert run.syzygies == tracked.syzygies
+        assert (syzygies_over_ring(rows, 2, ring)
+                == _ref_syzygy_rows(tracked.syzygies, len(rows), ring))
+
+        plain = _RefRun(items, order, 2, track=False)
+        basis = submodule_over_ring(rows, 2, ring)
+        assert basis.groebner == plain.reduced_basis()
+        for _ in range(6):
+            row = tuple(_small_entry(rng, ring) for _ in range(2))
+            assert basis.normal_form(row) == _ref_normal_form(plain, row)
+
+        A = [[row[i] for row in rows] for i in range(2)]
+        for _ in range(3):
+            b = tuple(_small_entry(rng, ring) for _ in range(2))
+            if rng.random() < 0.5:
+                for row in rows:
+                    c = _small_entry(rng, ring)
+                    b = tuple(x + c * y for x, y in zip(b, row))
+            got = solve_linear(A, b, ring)
+            assert got == _ref_solve(A, b, ring)
+            solved += isinstance(got, Solution)
+    assert 0 < solved < 9
+
+
+def test_engine_matches_the_rational_reference_under_lex():
+    lex = MonomialOrder("lex")
+    rng = random.Random(8300)
+    for _ in range(3):
+        rows = _random_rows(rng, PLANE, 3, 2)
+        basis = SubmoduleBasis(rows, lex)
+        ref = _RefRun([_row_to_vec(r) for r in rows], lex, 2, track=False)
+        assert basis.groebner == ref.reduced_basis()
+        for _ in range(6):
+            row = tuple(_small_entry(rng, PLANE) for _ in range(2))
+            assert basis.normal_form(row) == _ref_normal_form(ref, row)
+
+
+@pytest.mark.parametrize("ring", [CUSP, EX316], ids=["cusp", "ex316"])
+def test_nf_poly_shortcut_matches_the_full_normal_form(ring):
+    rng = random.Random(8400 + len(ring.variables))
+    full = ring_groebner(ring)
+    zero = ring.zero()
+    assert nf_poly(zero, ring) is zero
+    returned_as_is = 0
+    for _ in range(60):
+        poly = _random_entry(rng, ring)
+        got = nf_poly(poly, ring)
+        assert got == full.normal_form(poly) == _ref_ring_nf(poly, ring)
+        returned_as_is += got is poly
+    assert 0 < returned_as_is < 60
 
 
 def test_solve_linear_polynomial_identity():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlab.poly import (
+    KEY_MEMO_LIMIT,
     ExponentOverflowError,
     MonomialOrder,
     Polynomial,
@@ -33,6 +34,15 @@ def test_zero_and_constants():
     assert one.constant_term() == 1
     assert (one - one).is_zero()
     assert Polynomial.const(XY, 0) == z
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        Polynomial(("x",), {(1,): 0.5})
+    with pytest.raises(TypeError):
+        Polynomial.const(XY, 0.5)
+    with pytest.raises(TypeError):
+        P({(1, 0): 1}).scale(1 / 3)
 
 
 def test_normalization_drops_zero_coefficients():
@@ -166,6 +176,27 @@ def test_degrevlex_reads_from_first_variable():
 def test_lex_order():
     order = MonomialOrder("lex")
     assert order.key((1, 0)) > order.key((0, 5))
+
+
+_ORDERS = [MonomialOrder("lex"), MonomialOrder("degrevlex"),
+           MonomialOrder("weighted", (2, 3))]
+_EXPS = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPS, _EXPS, st.sampled_from(_ORDERS))
+def test_low_key_sorts_in_reverse(a, b, order):
+    assert (order.key(a) < order.key(b)) == (order.low_key(a) > order.low_key(b))
+    assert (a == b) == (order.low_key(a) == order.low_key(b))
+
+
+def test_key_memos_stay_bounded():
+    order = MonomialOrder("degrevlex")
+    for i in range(KEY_MEMO_LIMIT + 10):
+        assert order.key((i, 1)) == (i + 1, (-i, -1))
+        assert order.low_key((i, 1)) == (-i - 1, (i, 1))
+    assert 0 < len(order._keys) <= KEY_MEMO_LIMIT
+    assert 0 < len(order._low_keys) <= KEY_MEMO_LIMIT
 
 
 def test_homogeneous_degree():
