@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, le, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import ExpVec, MonomialOrder, Polynomial
@@ -70,23 +71,26 @@ def _lead(vec: Vec, order: MonomialOrder) -> Term:
 
 
 def _divides(a: ExpVec, b: ExpVec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _monomial_mul(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_submul(target: Vec, coeff, mono: ExpVec, src: Vec) -> None:
-    """target -= coeff * x^mono * src, in place."""
+def _vec_submul(target: Vec, coeff, mono: ExpVec, src: Vec,
+                new: Optional[List[Term]] = None) -> None:
+    """target -= coeff * x^mono * src, in place; the keys that were not in
+    target before are appended to `new` when it is given."""
     for (pos, exps), c in src.items():
-        key = (pos, _monomial_mul(mono, exps))
+        key = (pos, tuple(map(add, mono, exps)))
         acc = target.get(key)
-        acc = -coeff * c if acc is None else acc - coeff * c
-        if acc:
-            target[key] = acc
+        if acc is None:
+            target[key] = -coeff * c
+            if new is not None:
+                new.append(key)
         else:
-            del target[key]
+            acc -= coeff * c
+            if acc:
+                target[key] = acc
+            else:
+                del target[key]
 
 
 def _vec_scale(vec: Vec, c) -> None:
@@ -171,21 +175,11 @@ def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
             if expr is not None:
                 _vec_scale(expr, f)
         coeff = a // g
-        shift = tuple(x - y for x, y in zip(exps, reducer.lead[1]))
-        # the lead cancels against term, so it needs no heap entry
-        for (rpos, rexps), c in reducer.vec.items():
-            mono = tuple(x + y for x, y in zip(shift, rexps))
-            key = (rpos, mono)
-            acc = target.get(key)
-            if acc is None:
-                target[key] = -coeff * c
-                heapq.heappush(heap, (rpos, low(mono), key))
-            else:
-                acc -= coeff * c
-                if acc:
-                    target[key] = acc
-                else:
-                    del target[key]
+        shift = tuple(map(sub, exps, reducer.lead[1]))
+        new: List[Term] = []
+        _vec_submul(target, coeff, shift, reducer.vec, new)
+        for t in new:
+            heapq.heappush(heap, (t[0], low(t[1]), t))
         if expr is not None and reducer.expr is not None:
             _vec_submul(expr, coeff, shift, reducer.expr)
     return result, m
@@ -390,6 +384,17 @@ class SubmoduleBasis:
         inputs = [_row_to_vec(r) for r in self.generators]
         return _buchberger(inputs, self.order, self.rank, track=False)
 
+    @cached_property
+    def _leads(self) -> Dict[int, List[ExpVec]]:
+        """The minimal lead monomials of the run, by position."""
+        leads: Dict[int, List[ExpVec]] = {}
+        for pos, exps in sorted({e.lead for e in self._run.elements},
+                                key=lambda t: (t[0], sum(t[1]))):
+            kept = leads.setdefault(pos, [])
+            if not any(_divides(k, exps) for k in kept):
+                kept.append(exps)
+        return leads
+
     @property
     def groebner(self) -> List[Vec]:
         if self._groebner is None:
@@ -400,14 +405,20 @@ class SubmoduleBasis:
         return [_vec_to_row(v, self.rank, self.variables) for v in self.groebner]
 
     def normal_form(self, value):
+        """The remainder; a value with no term divisible by a lead of the
+        basis is its own remainder and comes back as it is."""
         row = _as_row(value, self.rank)
-        rem, m = _reduce(_row_to_vec(row), None, self._run.elements,
-                         self._run.by_pos, self.order)
-        _vec_scale(rem, Fraction(1, m))
-        out = _vec_to_row(rem, self.rank, self.variables)
+        vec = _row_to_vec(row)
+        leads = self._leads
+        if any(_divides(lead, exps)
+               for pos, exps in vec for lead in leads.get(pos, ())):
+            rem, m = _reduce(vec, None, self._run.elements,
+                             self._run.by_pos, self.order)
+            _vec_scale(rem, Fraction(1, m))
+            row = _vec_to_row(rem, self.rank, self.variables)
         if isinstance(value, Polynomial):
-            return out[0]
-        return out
+            return row[0]
+        return row
 
     def contains(self, value) -> bool:
         out = self.normal_form(value)
@@ -487,17 +498,10 @@ def ring_groebner(ring: RingSpec) -> SubmoduleBasis:
 
 
 def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
-    """Normal form of a coefficient modulo the defining ideal.
-
-    A zero p, and a p with no term divisible by a lead monomial of the
-    ideal's basis, is its own normal form and comes back as it is."""
-    if not ring.ideal or not p.terms:
+    """Normal form of a coefficient modulo the defining ideal."""
+    if not ring.ideal:
         return p
-    basis = ring_groebner(ring)
-    leads = [g.lead[1] for g in basis._run.elements]
-    if not any(_divides(lead, exps) for exps in p.terms for lead in leads):
-        return p
-    return basis.normal_form(p)
+    return ring_groebner(ring).normal_form(p)
 
 
 def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:

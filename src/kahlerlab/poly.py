@@ -32,7 +32,7 @@ EXPONENT_LIMIT = 10 ** 9
 
 _ORDER_KINDS = ("lex", "degrevlex", "weighted")
 
-# Entries an order keeps in each key memo before it starts the memo afresh,
+# Entries an order keeps in its low-key memo before it starts the memo afresh,
 # so a long-lived order (a cached ring basis) stays bounded.
 KEY_MEMO_LIMIT = 1 << 14
 
@@ -66,11 +66,11 @@ class MonomialOrder:
     ``key`` maps an exponent vector to a tuple that sorts in order
     (bigger key = bigger monomial), so it can be fed straight to ``sorted``.
     ``low_key`` is its reverse (smaller low key = bigger monomial), the
-    form a min-heap of pending terms wants.  Both are memoised per order
-    instance, up to ``KEY_MEMO_LIMIT`` entries each.
+    form a min-heap of pending terms wants.  It is memoised per order
+    instance, up to ``KEY_MEMO_LIMIT`` entries.
     """
 
-    __slots__ = ("kind", "weights", "_keys", "_low_keys")
+    __slots__ = ("kind", "weights", "_low_keys")
 
     def __init__(self, kind: str = "degrevlex", weights: Optional[Sequence[int]] = None):
         if kind not in _ORDER_KINDS:
@@ -86,7 +86,6 @@ class MonomialOrder:
                 raise ValueError("weights only apply to the weighted kind")
             self.weights = None
         self.kind = kind
-        self._keys: Dict[ExpVec, tuple] = {}
         self._low_keys: Dict[ExpVec, tuple] = {}
 
     def degree(self, exps: ExpVec) -> int:
@@ -95,16 +94,9 @@ class MonomialOrder:
         return sum(exps)
 
     def key(self, exps: ExpVec):
-        k = self._keys.get(exps)
-        if k is None:
-            if len(self._keys) >= KEY_MEMO_LIMIT:
-                self._keys.clear()
-            if self.kind == "lex":
-                k = tuple(exps)
-            else:
-                k = (self.degree(exps), tuple(-e for e in exps))
-            self._keys[exps] = k
-        return k
+        if self.kind == "lex":
+            return tuple(exps)
+        return (self.degree(exps), tuple(-e for e in exps))
 
     def low_key(self, exps: ExpVec):
         """``(-degree, exps)``, or ``-exps`` for lex: sorts in reverse order."""

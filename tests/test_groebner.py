@@ -24,7 +24,6 @@ from kahlerlab.groebner import (
     nf_poly,
     normal_form,
     prune_rows,
-    ring_groebner,
     solve_linear,
     submodule_over_ring,
     syzygies,
@@ -486,16 +485,16 @@ def test_engine_matches_the_rational_reference_under_lex():
 
 
 @pytest.mark.parametrize("ring", [CUSP, EX316], ids=["cusp", "ex316"])
-def test_nf_poly_shortcut_matches_the_full_normal_form(ring):
+def test_normal_form_shortcut_matches_the_reference(ring):
+    # a value with no term divisible by a lead comes back as it is
     rng = random.Random(8400 + len(ring.variables))
-    full = ring_groebner(ring)
     zero = ring.zero()
     assert nf_poly(zero, ring) is zero
     returned_as_is = 0
     for _ in range(60):
         poly = _random_entry(rng, ring)
         got = nf_poly(poly, ring)
-        assert got == full.normal_form(poly) == _ref_ring_nf(poly, ring)
+        assert got == _ref_ring_nf(poly, ring)
         returned_as_is += got is poly
     assert 0 < returned_as_is < 60
 
