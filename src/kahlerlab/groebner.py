@@ -13,16 +13,21 @@ lc/gcd(a, lc) before each subtraction, so it returns m * NF(vec) for a known
 positive int m (Cox-Little-O'Shea, ch. 2; the scaling of Bareiss).  Only the
 API boundary divides by m, with Fraction: `normal_form`, `solve_linear` and
 the monic `_reduced_basis`.  Since m > 0 and `_make_primitive` normalises
-scale and sign, every working element, kept row, syzygy and remainder is the
-value a rational reduction gives.  Pending terms wait in a heap keyed by the
-order's memoised `low_key`.
+scale and sign, every kept row, syzygy and remainder is the value a rational
+reduction gives.  Pending terms wait in a heap keyed by the order's
+memoised `low_key`.
 
-Syzygies are collected by expression tracking: every basis element carries
-its representation over the *original* generator list, and every S-pair
-that reduces to zero deposits its tracked representation as a syzygy.  The
-original generators stay in the working basis and no pair is skipped while
-tracking, which is exactly what Schreyer's argument needs for the recorded
-set to generate the full syzygy module.
+Syzygies come from tag positions (Cox-Little-O'Shea, *Using Algebraic
+Geometry*, ch. 5 sec. 3).  In a tagged run over P^rank, input i carries the
+extra unit term e_(rank+i).  Positions >= rank sort below every real
+position, so an element's tags never lead while its part below rank is
+nonzero, and no working element reduces a tag: each element's tags write
+it as a combination of the inputs.  An element whose terms all sit at
+positions >= rank is a syzygy of the inputs; it is recorded, shifted down by
+rank, and never joins the basis.  The inputs stay in the working basis and
+no pair is skipped in a tagged run, which is what Schreyer's argument needs
+for the recorded set to generate the full syzygy module (Eisenbud,
+*Commutative Algebra*, Thm 15.10).
 
 Submodules over a quotient ring R = P/I are handled by the augmentation
 convention: add f*e_k for every ideal generator f and unit vector e_k,
@@ -32,13 +37,12 @@ completes that augmented run for `syzygies_over_ring`, `prune_rows` and
 `SubmoduleBasis`.
 
 Each engine step has one implementation: `_reduce` is the reduction loop
-of Buchberger, of normal forms and of the tracked reduction in
-`solve_linear`; `_BuchbergerRun` is the one pair loop, completed in one
-go by `_buchberger` and resumed row by row by `prune_rows`; `_syzygy_rows`
-turns tracked syzygies into rows for both `syzygies` and
-`syzygies_over_ring`; `prune_rows` is the greedy pruner of every
-presentation, kernels included; a `SubmoduleBasis` answers `normal_form`
-and `contains` from its completed run.
+of Buchberger, of normal forms and of `solve_linear`; `_BuchbergerRun` is
+the one pair loop, completed in one go by `_buchberger` and resumed row by
+row by `prune_rows`; `_syzygy_rows` turns recorded syzygies into rows for
+both `syzygies` and `syzygies_over_ring`; `prune_rows` is the greedy pruner
+of every presentation, kernels included; a `SubmoduleBasis` answers
+`normal_form` and `contains` from its completed run.
 """
 
 from __future__ import annotations
@@ -98,9 +102,8 @@ def _vec_scale(vec: Vec, c) -> None:
         vec[key] *= c
 
 
-def _make_primitive(vec: Vec, expr: Optional[Vec], order: MonomialOrder) -> None:
-    """Scale to coprime int coefficients with a positive lead; expr is
-    scaled by the same factor (an int factor keeps int entries int)."""
+def _make_primitive(vec: Vec, order: MonomialOrder) -> None:
+    """Scale to coprime int coefficients with a positive lead."""
     if not vec:
         return
     den = 1
@@ -113,39 +116,32 @@ def _make_primitive(vec: Vec, expr: Optional[Vec], order: MonomialOrder) -> None
         num = -num
     for key, c in vec.items():
         vec[key] = c.numerator * (den // c.denominator) // num
-    if expr is not None and den != num:
-        scale = Fraction(den, num)
-        _vec_scale(expr, scale.numerator if scale.denominator == 1 else scale)
 
 
 class _Elt:
-    __slots__ = ("vec", "expr", "lead", "lc")
+    __slots__ = ("vec", "lead", "lc")
 
-    def __init__(self, vec: Vec, expr: Optional[Vec], order: MonomialOrder):
+    def __init__(self, vec: Vec, order: MonomialOrder):
         self.vec = vec
-        self.expr = expr
         self.lead = _lead(vec, order)
         self.lc = vec[self.lead]
 
 
-def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
-            by_pos: Dict[int, List[int]],
+def _reduce(vec: Vec, elements: List[_Elt], by_pos: Dict[int, List[int]],
             order: MonomialOrder) -> Tuple[Vec, int]:
     """Fraction-free full normal form of vec against int elements with
     positive leads.
 
     Returns (rem, m): m is a positive int and rem = m * NF(vec), with int
-    coefficients.  vec is left as it is; expr is scaled and reduced in
-    place alongside, so it ends as m times the expression the rational
-    reduction would leave.  The pending terms sit in a min-heap of low
-    keys with lazy deletion: an entry whose term has cancelled is skipped.
+    coefficients.  vec is left as it is.  The pending terms sit in a
+    min-heap of low keys with lazy deletion: an entry whose term has
+    cancelled is skipped.  A term at a position no element leads (a tag)
+    goes to the remainder as it is.
     """
     m = 1
     for c in vec.values():
         m = lcm(m, c.denominator)
     target = {t: c.numerator * (m // c.denominator) for t, c in vec.items()}
-    if expr is not None and m != 1:
-        _vec_scale(expr, m)
     low = order.low_key
     heap = [(t[0], low(t[1]), t) for t in target]
     heapq.heapify(heap)
@@ -172,48 +168,51 @@ def _reduce(vec: Vec, expr: Optional[Vec], elements: List[_Elt],
             m *= f
             target = {t: c * f for t, c in target.items()}
             result = {t: c * f for t, c in result.items()}
-            if expr is not None:
-                _vec_scale(expr, f)
         coeff = a // g
         shift = tuple(map(sub, exps, reducer.lead[1]))
         new: List[Term] = []
         _vec_submul(target, coeff, shift, reducer.vec, new)
         for t in new:
             heapq.heappush(heap, (t[0], low(t[1]), t))
-        if expr is not None and reducer.expr is not None:
-            _vec_submul(expr, coeff, shift, reducer.expr)
     return result, m
 
 
 class _BuchbergerRun:
     """A resumable Buchberger run: working elements, their indices by lead
-    position, the pair heap and the tracked syzygies.
+    position, the pair heap and the recorded syzygies.
 
-    With track=True every pair is processed (no coprimality skips) and each
-    zero reduction contributes one syzygy over the input index space.
+    A tagged run (inputs carry tag positions, see the module docstring)
+    processes every pair, since the product criterion would skip the
+    Koszul syzygies it must record.
     """
 
-    def __init__(self, order: MonomialOrder, rank: int, track: bool):
+    def __init__(self, order: MonomialOrder, rank: int, tagged: bool):
         self.order = order
         self.rank = rank
-        self.track = track
+        self.tagged = tagged
         self.elements: List[_Elt] = []
         self.by_pos: Dict[int, List[int]] = {}
         self.pairs: List[Tuple] = []
         self.syzygies: List[Vec] = []
 
-    def add(self, vec: Vec, expr: Optional[Vec]) -> None:
-        """Take a nonzero element in and push its pairs."""
-        _make_primitive(vec, expr, self.order)
-        elt = _Elt(vec, expr, self.order)
-        idx = len(self.elements)
+    def add(self, vec: Vec) -> None:
+        """Take a nonzero element in: one that leads with a tag is a
+        syzygy, shifted down by rank; any other joins the basis and pushes
+        its pairs."""
+        _make_primitive(vec, self.order)
+        elt = _Elt(vec, self.order)
         pos = elt.lead[0]
+        if pos >= self.rank:
+            self.syzygies.append({(p - self.rank, exps): c
+                                  for (p, exps), c in vec.items()})
+            return
+        idx = len(self.elements)
         for jdx in self.by_pos.get(pos, ()):
             other = self.elements[jdx]
-            if (not self.track and self.rank == 1
+            if (not self.tagged and self.rank == 1
                     and all(a == 0 or b == 0
                             for a, b in zip(other.lead[1], elt.lead[1]))):
-                continue  # product criterion: safe only for untracked ideals
+                continue  # product criterion: safe only for untagged ideals
             lcm_exps = tuple(max(a, b) for a, b in zip(other.lead[1], elt.lead[1]))
             heapq.heappush(self.pairs, (self.order.key(lcm_exps), pos, jdx, idx))
         self.elements.append(elt)
@@ -230,43 +229,31 @@ class _BuchbergerRun:
             vec: Vec = {}
             _vec_submul(vec, -gj.lc, shift_i, gi.vec)
             _vec_submul(vec, gi.lc, shift_j, gj.vec)
-            expr: Optional[Vec] = None
-            if self.track:
-                expr = {}
-                _vec_submul(expr, -gj.lc, shift_i, gi.expr)
-                _vec_submul(expr, gi.lc, shift_j, gj.expr)
-            remainder, _ = _reduce(vec, expr, self.elements, self.by_pos,
-                                   self.order)
+            remainder, _ = _reduce(vec, self.elements, self.by_pos, self.order)
             if remainder:
-                self.add(remainder, expr)
-            elif self.track and expr:
-                _make_primitive(expr, None, self.order)
-                self.syzygies.append(expr)
+                self.add(remainder)
 
     def absorb(self, vec: Vec) -> bool:
-        """On a completed untracked run: False if vec lies in the submodule,
+        """On a completed untagged run: False if vec lies in the submodule,
         else add its remainder, complete the new pairs, True."""
-        remainder, _ = _reduce(vec, None, self.elements, self.by_pos,
-                               self.order)
+        remainder, _ = _reduce(vec, self.elements, self.by_pos, self.order)
         if remainder:
-            self.add(remainder, None)
+            self.add(remainder)
             self.complete()
         return bool(remainder)
 
 
 def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
-                track: bool) -> _BuchbergerRun:
-    """Fill a run with the inputs and complete it."""
-    run = _BuchbergerRun(order, rank, track)
+                tagged: bool) -> _BuchbergerRun:
+    """Fill a run with the inputs, tagged if asked, and complete it."""
+    run = _BuchbergerRun(order, rank, tagged)
     nvars = next((len(exps) for vec in inputs for (_, exps) in vec), 0)
-    zero_exps = (0,) * nvars
     for i, vec in enumerate(inputs):
-        expr = {(i, zero_exps): 1} if track else None
-        if not vec:
-            if track:
-                run.syzygies.append(dict(expr))
-            continue
-        run.add(dict(vec), expr)
+        vec = dict(vec)
+        if tagged:
+            vec[(rank + i, (0,) * nvars)] = 1
+        if vec:
+            run.add(vec)
     run.complete()
     return run
 
@@ -298,7 +285,7 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
     for e in minimal:
         tail = dict(e.vec)
         del tail[e.lead]
-        tail_rem, m = _reduce(tail, None, minimal, by_pos, order)
+        tail_rem, m = _reduce(tail, minimal, by_pos, order)
         rem = {e.lead: e.lc * m}
         rem.update(tail_rem)
         _vec_scale(rem, Fraction(1, e.lc * m))
@@ -329,8 +316,8 @@ def _row_to_vec(row: FreeElement) -> Vec:
 
 
 def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
-    """The first `rank` slots of vec as a row; later positions are dropped
-    (a tracked expression cut to the input rows that come first)."""
+    """The first `rank` slots of vec as a row; later positions (tags, or a
+    syzygy's entries on the ideal rows) are dropped."""
     buckets: List[Dict[ExpVec, Fraction]] = [dict() for _ in range(rank)]
     for (pos, exps), coeff in vec.items():
         if pos < rank:
@@ -382,7 +369,7 @@ class SubmoduleBasis:
     @cached_property
     def _run(self) -> _BuchbergerRun:
         inputs = [_row_to_vec(r) for r in self.generators]
-        return _buchberger(inputs, self.order, self.rank, track=False)
+        return _buchberger(inputs, self.order, self.rank, tagged=False)
 
     @cached_property
     def _leads(self) -> Dict[int, List[ExpVec]]:
@@ -412,8 +399,8 @@ class SubmoduleBasis:
         leads = self._leads
         if any(_divides(lead, exps)
                for pos, exps in vec for lead in leads.get(pos, ())):
-            rem, m = _reduce(vec, None, self._run.elements,
-                             self._run.by_pos, self.order)
+            rem, m = _reduce(vec, self._run.elements, self._run.by_pos,
+                             self.order)
             _vec_scale(rem, Fraction(1, m))
             row = _vec_to_row(rem, self.rank, self.variables)
         if isinstance(value, Polynomial):
@@ -444,7 +431,7 @@ def normal_form(value, basis: SubmoduleBasis):
 def _syzygy_rows(raw: List[Vec], t: int, variables: Tuple[str, ...],
                  clean: Callable[[FreeElement], FreeElement],
                  order: MonomialOrder) -> List[FreeElement]:
-    """Tracked syzygies as rows: cut to the first t slots, passed through
+    """Recorded syzygies as rows: cut to the first t slots, passed through
     `clean`, zero rows dropped, deduplicated, sorted by descending lead."""
     rows: List[FreeElement] = []
     seen = set()
@@ -471,14 +458,14 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
     if not gens:
         return SubmoduleBasis((), basis.order, rank=0, variables=basis.variables)
     inputs = [_row_to_vec(r) for r in gens]
-    raw = _buchberger(inputs, basis.order, basis.rank, track=True).syzygies
+    raw = _buchberger(inputs, basis.order, basis.rank, tagged=True).syzygies
 
     def vanishes(row: FreeElement) -> FreeElement:
         combo = None
         for coeff, gen in zip(row, gens):
             part = tuple(coeff * g for g in gen)
             combo = part if combo is None else tuple(a + b for a, b in zip(combo, part))
-        assert all(p.is_zero() for p in combo), "tracked syzygy failed to vanish"
+        assert all(p.is_zero() for p in combo), "recorded syzygy failed to vanish"
         return row
 
     rows = _syzygy_rows(raw, len(gens), basis.variables, vanishes, basis.order)
@@ -514,12 +501,12 @@ def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
 
 
 def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
-              track: bool) -> _BuchbergerRun:
-    """Completed run over P on rows + I*P^rank, the rows first (so tracked
-    expressions number them from 0)."""
+              tagged: bool) -> _BuchbergerRun:
+    """Completed run over P on rows + I*P^rank, the rows first (so their
+    tags are the first ones)."""
     items = [_as_row(r, rank) for r in rows] + _ideal_unit_rows(rank, ring)
     return _buchberger([_row_to_vec(r) for r in items], ring.order(), rank,
-                       track)
+                       tagged)
 
 
 def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
@@ -541,7 +528,7 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
     """
     if not rows:
         return []
-    raw = _ring_run(rows, rank, ring, track=True).syzygies
+    raw = _ring_run(rows, rank, ring, tagged=True).syzygies
     return _syzygy_rows(raw, len(rows), ring.variables,
                         lambda row: tuple(nf_poly(p, ring) for p in row),
                         ring.order())
@@ -574,7 +561,7 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     of span(kept + base) + I*P^rank; a zero remainder means membership,
     otherwise the remainder joins the run and the row itself is kept.
     """
-    run = _ring_run(base, rank, ring, track=False)
+    run = _ring_run(base, rank, ring, tagged=False)
     kept: List[FreeElement] = []
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
@@ -601,10 +588,11 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
                  ring: RingSpec):
     """Particular solution of A*x = b over R = P/I, or NoSolution.
 
-    A is given by rows; a solution satisfies A*x - b in I * R^rows.  Found by
-    tracked reduction of b against the GB of the columns of A augmented with
-    ideal multiples of the unit vectors; NoSolution carries the nonzero
-    normal form of b as certificate.
+    A is given by rows; a solution satisfies A*x - b in I * R^rows.  b is
+    reduced against the tagged run on the columns of A and the ideal
+    multiples of the unit vectors.  A remainder with terms below position
+    nrows is the normal form of b, which NoSolution carries as certificate;
+    otherwise the remainder is all tags, and the column tags read -x.
     """
     rows = [list(r) for r in A]
     if not rows:
@@ -618,17 +606,16 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     columns: List[FreeElement] = []
     for j in range(ncols):
         columns.append(tuple(rows[i][j] for i in range(nrows)))
-    run = _ring_run(columns, nrows, ring, track=True)
-    acc: Vec = {}
-    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), acc, run.elements,
+    run = _ring_run(columns, nrows, ring, tagged=True)
+    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), run.elements,
                            run.by_pos, ring.order())
-    if remainder:
-        _vec_scale(remainder, Fraction(1, m))
-        return NoSolution(_vec_to_row(remainder, nrows, ring.variables))
-    # _reduce subtracts from acc, so acc now expresses -m*b
-    _vec_scale(acc, Fraction(1, m))
-    tracked = _vec_to_row(acc, ncols, ring.variables)
-    return Solution(tuple(nf_poly(-p, ring) for p in tracked))
+    _vec_scale(remainder, Fraction(1, m))
+    residual = _vec_to_row(remainder, nrows, ring.variables)
+    if not all(p.is_zero() for p in residual):
+        return NoSolution(residual)
+    tags = {(pos - nrows, exps): c for (pos, exps), c in remainder.items()}
+    return Solution(tuple(nf_poly(-p, ring)
+                          for p in _vec_to_row(tags, ncols, ring.variables)))
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,9 @@ def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
     """Iterated syzygies of a relation matrix, at most `cutoff` steps.
 
     Each syzygy set is pruned to a generating set before the next step;
-    the tracked syzygies carry one element per reduced pair, so without
-    pruning the ranks (and the running time) grow multiplicatively.
+    a tagged run records one syzygy per pair that reduces to tags alone,
+    so without pruning the ranks (and the running time) grow
+    multiplicatively.
     """
     steps: List[List[List[Polynomial]]] = []
     current = [list(r) for r in rows]

@@ -188,7 +188,7 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     rank = len(db.monomials)
     seeds = _ideal_unit_rows(rank, EX316)
     run = _buchberger([_row_to_vec(r) for r in seeds], EX316.order(), rank,
-                      track=False)
+                      tagged=False)
     rows = _omega_rows(EX316, 2, db)
     absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
     assert absorbed[0] and not absorbed[-1]
@@ -430,13 +430,30 @@ def _ref_normal_form(run, row):
     return _vec_to_row(rem, len(row), row[0].variables)
 
 
+def _with_tags(vec, expr, rank):
+    """The reference's vec with its tracked expression at tag positions."""
+    out = dict(vec)
+    out.update({(rank + i, exps): c for (i, exps), c in expr.items()})
+    return out
+
+
+def _is_positive_multiple(got, want):
+    """got == r * want for one rational r > 0, on the same support."""
+    if got.keys() != want.keys():
+        return False
+    ratios = {Fraction(got[t]) / want[t] for t in want}
+    return len(ratios) == 1 and ratios.pop() > 0
+
+
 @pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
                          ids=["plane", "cusp", "ex316"])
 def test_engine_matches_the_rational_reference(ring):
     """Seeded rows with fractional coefficients and negative leads: the
-    fraction-free engine keeps the same working elements, tracked
+    fraction-free engine keeps the same working elements (in a tagged run,
+    up to a positive scale, since the tags share the primitive scaling),
     syzygies, reduced basis, normal forms and solutions as the rational
-    reference engine."""
+    reference engine with expression tracking.  Tagged runs stay in int
+    arithmetic throughout."""
     rng = random.Random(8200 + len(ring.ideal))
     order = ring.order()
     solved = 0
@@ -444,14 +461,21 @@ def test_engine_matches_the_rational_reference(ring):
         rows = _random_rows(rng, ring, 3, 2)
         items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
         tracked = _RefRun(items, order, 2, track=True)
-        run = _ring_run(rows, 2, ring, track=True)
-        assert [e.vec for e in run.elements] == [e[0] for e in tracked.elements]
-        assert [e.expr for e in run.elements] == [e[1] for e in tracked.elements]
+        run = _ring_run(rows, 2, ring, tagged=True)
+        assert len(run.elements) == len(tracked.elements)
+        for e, (vec, expr, lead) in zip(run.elements, tracked.elements):
+            assert _is_positive_multiple(e.vec, _with_tags(vec, expr, 2))
+            assert e.lead == lead
+        assert all(type(c) is int
+                   for part in [e.vec for e in run.elements] + run.syzygies
+                   for c in part.values())
         assert run.syzygies == tracked.syzygies
         assert (syzygies_over_ring(rows, 2, ring)
                 == _ref_syzygy_rows(tracked.syzygies, len(rows), ring))
 
         plain = _RefRun(items, order, 2, track=False)
+        untagged = _ring_run(rows, 2, ring, tagged=False)
+        assert [e.vec for e in untagged.elements] == [e[0] for e in plain.elements]
         basis = submodule_over_ring(rows, 2, ring)
         assert basis.groebner == plain.reduced_basis()
         for _ in range(6):
@@ -528,6 +552,29 @@ def test_solve_linear_multiple_rows():
     for row, rhs in zip(A, b):
         acc = row[0] * sol.column[0] + row[1] * sol.column[1] - rhs
         assert acc.is_zero()
+
+
+@pytest.mark.parametrize("ring", [PLANE, CUSP], ids=["plane", "cusp"])
+def test_zero_rows_and_columns_are_tag_only_inputs(ring):
+    # a zero input is all tag: it is the unit syzygy at its index and never
+    # enters the basis, so it meets no other syzygy and no solution
+    x, y, zero, one = (p(t, ring) for t in ("x", "y", "0", "1"))
+    syz = syzygies_over_ring([(x, zero), (zero, zero), (y, zero)], 2, ring)
+    assert [r for r in syz if not r[1].is_zero()] == [(zero, one, zero)]
+    assert (y, zero, -x) in syz
+    for s in syz:
+        assert nf_poly(s[0] * x + s[2] * y, ring).is_zero()
+
+    A = [[x, zero, y], [zero, zero, zero]]
+    b = [x * x + y * y, zero]
+    sol = solve_linear(A, b, ring)
+    assert isinstance(sol, Solution)
+    assert sol.column[1].is_zero()
+    for row, rhs in zip(A, b):
+        combo = sum((a * c for a, c in zip(row, sol.column)), -rhs)
+        assert nf_poly(combo, ring).is_zero()
+    out = solve_linear(A, [x, one], ring)
+    assert out == NoSolution((zero, one))
 
 
 def test_krull_dimension():

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a kahlerlab module imports is used in it.
+"""Source hygiene: every name a kahlerlab module imports is used in it, and
+every module-level private function or class is used in the package.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+`__init__.py` is skipped by the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kahlerlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(source: str):
@@ -35,3 +38,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _referenced(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def _unused_private_defs(sources):
+    """(module, name) of each module-level `_private` function or class that
+    no other top-level statement of any of the sources refers to."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    unused = []
+    for module, node in statements:
+        if not (isinstance(node, DEFS) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            continue
+        if not any(node.name in _referenced(other)
+                   for _, other in statements if other is not node):
+            unused.append((module, node.name))
+    return unused
+
+
+def test_the_check_sees_an_unused_private_def():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _self(n):\n    return _self(n)\n",
+        "b": "from .a import _used\nclass _Left:\n    pass\n",
+    }
+    assert _unused_private_defs(sources) == [("a", "_self"), ("b", "_Left")]
+
+
+def test_no_unused_private_defs():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unused_private_defs(sources) == []
