@@ -11,11 +11,11 @@ primitive: coprime int coefficients and a positive lead.  `_reduce` clears
 the denominators of its input once and then scales the target by
 lc/gcd(a, lc) before each subtraction, so it returns m * NF(vec) for a known
 positive int m (Cox-Little-O'Shea, ch. 2; the scaling of Bareiss).  Only the
-API boundary divides by m, with Fraction: `normal_form`, `solve_linear` and
-the monic `_reduced_basis`.  Since m > 0 and `_make_primitive` normalises
-scale and sign, every kept row, syzygy and remainder is the value a rational
-reduction gives.  Pending terms wait in a heap keyed by the order's
-memoised `low_key`.
+API boundary divides by m, with Fraction when m is not 1: `normal_form`,
+`solve_linear` and the monic `_reduced_basis`.  Since m > 0 and
+`_make_primitive` normalises scale and sign, every kept row, syzygy and
+remainder is the value a rational reduction gives.  Pending terms wait in a
+heap keyed by the order's memoised `low_key`.
 
 Syzygies come from tag positions (Cox-Little-O'Shea, *Using Algebraic
 Geometry*, ch. 5 sec. 3).  In a tagged run over P^rank, input i carries the
@@ -54,13 +54,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import ExpVec, MonomialOrder, Polynomial
+from .poly import Coeff, ExpVec, MonomialOrder, Polynomial, _grown
 from .parser import RingSpec
 
 Term = Tuple[int, ExpVec]          # (position, monomial)
-Vec = Dict[Term, Union[int, Fraction]]   # sparse free-module element
+Vec = Dict[Term, Coeff]           # sparse free-module element
 FreeElement = Tuple[Polynomial, ...]
 
 
@@ -97,9 +97,12 @@ def _vec_submul(target: Vec, coeff, mono: ExpVec, src: Vec,
                 del target[key]
 
 
-def _vec_scale(vec: Vec, c) -> None:
-    for key in vec:
-        vec[key] *= c
+def _vec_divide(vec: Vec, m: int) -> None:
+    """vec /= m, in place; int coefficients stay ints when m is 1."""
+    if m != 1:
+        c = Fraction(1, m)
+        for key in vec:
+            vec[key] *= c
 
 
 def _make_primitive(vec: Vec, order: MonomialOrder) -> None:
@@ -244,10 +247,10 @@ class _BuchbergerRun:
 
 
 def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
-                tagged: bool) -> _BuchbergerRun:
-    """Fill a run with the inputs, tagged if asked, and complete it."""
+                tagged: bool, nvars: int) -> _BuchbergerRun:
+    """Fill a run with the inputs over nvars variables, tagged if asked,
+    and complete it."""
     run = _BuchbergerRun(order, rank, tagged)
-    nvars = next((len(exps) for vec in inputs for (_, exps) in vec), 0)
     for i, vec in enumerate(inputs):
         vec = dict(vec)
         if tagged:
@@ -288,7 +291,7 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
         tail_rem, m = _reduce(tail, minimal, by_pos, order)
         rem = {e.lead: e.lc * m}
         rem.update(tail_rem)
-        _vec_scale(rem, Fraction(1, e.lc * m))
+        _vec_divide(rem, e.lc * m)
         reduced.append(rem)
     return reduced
 
@@ -318,11 +321,11 @@ def _row_to_vec(row: FreeElement) -> Vec:
 def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
     """The first `rank` slots of vec as a row; later positions (tags, or a
     syzygy's entries on the ideal rows) are dropped."""
-    buckets: List[Dict[ExpVec, Fraction]] = [dict() for _ in range(rank)]
+    buckets: List[Dict[ExpVec, Coeff]] = [dict() for _ in range(rank)]
     for (pos, exps), coeff in vec.items():
         if pos < rank:
             buckets[pos][exps] = coeff
-    return tuple(Polynomial(variables, b) for b in buckets)
+    return tuple(_grown(variables, b) for b in buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,8 @@ class SubmoduleBasis:
     @cached_property
     def _run(self) -> _BuchbergerRun:
         inputs = [_row_to_vec(r) for r in self.generators]
-        return _buchberger(inputs, self.order, self.rank, tagged=False)
+        return _buchberger(inputs, self.order, self.rank, tagged=False,
+                           nvars=len(self.variables))
 
     @cached_property
     def _leads(self) -> Dict[int, List[ExpVec]]:
@@ -401,7 +405,7 @@ class SubmoduleBasis:
                for pos, exps in vec for lead in leads.get(pos, ())):
             rem, m = _reduce(vec, self._run.elements, self._run.by_pos,
                              self.order)
-            _vec_scale(rem, Fraction(1, m))
+            _vec_divide(rem, m)
             row = _vec_to_row(rem, self.rank, self.variables)
         if isinstance(value, Polynomial):
             return row[0]
@@ -458,7 +462,8 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
     if not gens:
         return SubmoduleBasis((), basis.order, rank=0, variables=basis.variables)
     inputs = [_row_to_vec(r) for r in gens]
-    raw = _buchberger(inputs, basis.order, basis.rank, tagged=True).syzygies
+    raw = _buchberger(inputs, basis.order, basis.rank, tagged=True,
+                      nvars=len(basis.variables)).syzygies
 
     def vanishes(row: FreeElement) -> FreeElement:
         combo = None
@@ -506,7 +511,7 @@ def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     tags are the first ones)."""
     items = [_as_row(r, rank) for r in rows] + _ideal_unit_rows(rank, ring)
     return _buchberger([_row_to_vec(r) for r in items], ring.order(), rank,
-                       tagged)
+                       tagged, nvars=len(ring.variables))
 
 
 def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
@@ -609,7 +614,7 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     run = _ring_run(columns, nrows, ring, tagged=True)
     remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), run.elements,
                            run.by_pos, ring.order())
-    _vec_scale(remainder, Fraction(1, m))
+    _vec_divide(remainder, m)
     residual = _vec_to_row(remainder, nrows, ring.variables)
     if not all(p.is_zero() for p in residual):
         return NoSolution(residual)

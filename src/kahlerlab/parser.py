@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (ExpVec, MonomialOrder, Polynomial, format_polynomial,
-                   monomial_text)
+from .poly import (Coeff, ExpVec, MonomialOrder, Polynomial,
+                   format_polynomial, monomial_text)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DELTA_RE = re.compile(r"^d([0-9]+)$")
@@ -302,15 +302,15 @@ class _Stream:
 # polynomial expressions
 
 
-def _parse_number(ts: _Stream) -> Fraction:
+def _parse_number(ts: _Stream) -> Coeff:
     tok = ts.expect("number", "an integer")
-    value = Fraction(int(tok[1]))
+    value = int(tok[1])
     if ts.at("/"):
         ts.next()
         den = ts.expect("number", "a denominator")
         if int(den[1]) == 0:
             ts.error("zero denominator")
-        value /= int(den[1])
+        value = Fraction(value, int(den[1]))
     return value
 
 

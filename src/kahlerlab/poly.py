@@ -1,7 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is an immutable map from exponent vectors to nonzero
+A polynomial is an immutable map from exponent vectors to nonzero int or
 `fractions.Fraction` coefficients, tagged with an ordered variable list.
+The public constructor checks its input and stores an integral value as an
+int; arithmetic on valid polynomials builds its results unchecked.
 Everything downstream (Groebner bases, module presentations, differential
 expansions) is built on four things provided here:
 
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, perm
+from operator import add, le, sub
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 ExpVec = Tuple[int, ...]
+Coeff = Union[int, Fraction]
 
 # Exponents are checked, not silently wrapped: anything this large is a bug
 # in the caller, never a legitimate desk-scale computation.
@@ -35,6 +39,9 @@ _ORDER_KINDS = ("lex", "degrevlex", "weighted")
 # Entries an order keeps in its low-key memo before it starts the memo afresh,
 # so a long-lived order (a cached ring basis) stays bounded.
 KEY_MEMO_LIMIT = 1 << 14
+
+
+_set = object.__setattr__
 
 
 class ExponentOverflowError(OverflowError):
@@ -111,11 +118,11 @@ class MonomialOrder:
             self._low_keys[exps] = k
         return k
 
-    def sort_terms(self, poly: "Polynomial") -> List[Tuple[ExpVec, Fraction]]:
+    def sort_terms(self, poly: "Polynomial") -> List[Tuple[ExpVec, Coeff]]:
         """Terms of ``poly`` in descending order (leading term first)."""
         return sorted(poly.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
 
-    def leading_term(self, poly: "Polynomial") -> Tuple[ExpVec, Fraction]:
+    def leading_term(self, poly: "Polynomial") -> Tuple[ExpVec, Coeff]:
         if poly.is_zero():
             raise ValueError("zero polynomial has no leading term")
         exps = max(poly.terms, key=self.key)
@@ -134,35 +141,53 @@ class MonomialOrder:
         return "MonomialOrder(%r, weights=%r)" % (self.kind, self.weights)
 
 
-def _coefficient(value) -> Fraction:
-    """An exact coefficient; a float is refused, since Fraction(1/3) is not 1/3."""
-    if isinstance(value, float):
-        raise TypeError("float coefficient %r: use int or Fraction" % (value,))
-    return Fraction(value)
+def _coefficient(value) -> Coeff:
+    """An exact coefficient, int if integral; no float: Fraction(1/3) != 1/3."""
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError("float coefficient %r: use int or Fraction" % (value,))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _trusted(variables: Tuple[str, ...], terms: Dict[ExpVec, Coeff]) -> "Polynomial":
+    """A polynomial on terms already known valid: nonzero int or Fraction
+    coefficients on exponent tuples of the right length, within the limit."""
+    p = object.__new__(Polynomial)
+    _set(p, "variables", variables)
+    _set(p, "terms", terms)
+    return p
+
+
+def _grown(variables: Tuple[str, ...], terms: Dict[ExpVec, Coeff]) -> "Polynomial":
+    """`_trusted` for exponents that are sums, so each may pass the limit."""
+    top = max(map(max, terms)) if terms and variables else 0
+    if top > EXPONENT_LIMIT:
+        raise ExponentOverflowError("exponent %d exceeds limit" % top)
+    return _trusted(variables, terms)
 
 
 class Polynomial:
-    """Immutable exact polynomial; ``terms`` maps ExpVec -> nonzero Fraction."""
+    """Immutable exact polynomial; ``terms`` maps ExpVec -> nonzero int or Fraction."""
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Dict[ExpVec, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Dict[ExpVec, Coeff]):
         variables = tuple(variables)
-        clean: Dict[ExpVec, Fraction] = {}
+        clean: Dict[ExpVec, Coeff] = {}
         n = len(variables)
         for exps, coeff in terms.items():
-            if type(coeff) is not Fraction:
+            if type(coeff) is not int:
                 coeff = _coefficient(coeff)
             if not coeff:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != n:
                 raise ValueError("exponent vector %r has wrong length" % (exps,))
             _check_exponents(exps)
             clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "variables", variables)
+        _set(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -182,7 +207,7 @@ class Polynomial:
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
         idx = list(variables).index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: ExpVec, coeff=1) -> "Polynomial":
@@ -196,12 +221,11 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * len(self.variables), 0)
 
-    def coefficient(self, exps: ExpVec) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: ExpVec) -> Coeff:
+        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -238,17 +262,17 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
+            acc = out.get(exps, 0) + coeff
             if acc:
                 out[exps] = acc
             else:
-                out.pop(exps, None)
-        return Polynomial(self.variables, out)
+                del out[exps]
+        return _trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -265,27 +289,24 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[ExpVec, Fraction] = {}
+        out: Dict[ExpVec, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(exps, Fraction(0)) + ca * cb
+                exps = tuple(map(add, ea, eb))
+                acc = out.get(exps, 0) + ca * cb
                 if acc:
                     out[exps] = acc
                 else:
-                    out.pop(exps, None)
-        return Polynomial(self.variables, out)
+                    del out[exps]
+        return _grown(self.variables, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = _coefficient(c)
         if not c:
-            return Polynomial.zero(self.variables)
-        return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})
+            return _trusted(self.variables, {})
+        return _trusted(self.variables, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -295,10 +316,9 @@ class Polynomial:
         while n:
             if n & 1:
                 out = out * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return out
 
     # -- equality ------------------------------------------------------
@@ -311,11 +331,11 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.variables, frozenset(self.terms.items()))))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)
@@ -330,38 +350,30 @@ def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynom
         raise ValueError("variable index out of range")
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    out: Dict[ExpVec, Fraction] = {}
+    out: Dict[ExpVec, Coeff] = {}
     for exps, coeff in h.terms.items():
         e = exps[var_index]
         if e < order:
             continue
-        fall = 1
-        for i in range(order):
-            fall *= e - i
         new = list(exps)
         new[var_index] = e - order
-        out[tuple(new)] = coeff * fall
-    return Polynomial(h.variables, out)
+        out[tuple(new)] = coeff * perm(e, order)
+    return _trusted(h.variables, out)
 
 
 def taylor_coefficient(h: Polynomial, gamma: ExpVec) -> Polynomial:
-    """The exact Taylor coefficient d^gamma h / gamma! as a polynomial."""
-    gamma = tuple(gamma)
-    out: Dict[ExpVec, Fraction] = {}
+    """The exact Taylor coefficient d^gamma h / gamma! as a polynomial.
+
+    Distinct terms of h keep distinct monomials, and each multiplier is a
+    positive product of binomials, so nothing cancels."""
+    out: Dict[ExpVec, Coeff] = {}
     for exps, coeff in h.terms.items():
-        if any(e < g for e, g in zip(exps, gamma)):
-            continue
-        mult = 1
-        for e, g in zip(exps, gamma):
-            mult *= comb(e, g)
-        if mult:
-            out_exps = tuple(e - g for e, g in zip(exps, gamma))
-            acc = out.get(out_exps, Fraction(0)) + coeff * mult
-            if acc:
-                out[out_exps] = acc
-            else:
-                out.pop(out_exps, None)
-    return Polynomial(h.variables, out)
+        if all(map(le, gamma, exps)):
+            mult = 1
+            for e, g in zip(exps, gamma):
+                mult *= comb(e, g)
+            out[tuple(map(sub, exps, gamma))] = coeff * mult
+    return _trusted(h.variables, out)
 
 
 def shift_components(h: Polynomial, q: int,
@@ -370,12 +382,12 @@ def shift_components(h: Polynomial, q: int,
 
     Returns {gamma: d^gamma h / gamma!} for 0 < |gamma| <= q (the constant
     component gamma = 0, equal to h itself, is included when asked for).
-    This is the exact coefficient table of h(x+u) - h(x) mod (u)^(q+1).
+    This is the exact coefficient table of h(x+u) - h(x) mod (u)^(q+1); as
+    in `taylor_coefficient`, no two terms of h meet in one component.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    comps: Dict[ExpVec, Dict[ExpVec, Fraction]] = {}
-    n = len(h.variables)
+    comps: Dict[ExpVec, Dict[ExpVec, Coeff]] = {}
     for exps, coeff in h.terms.items():
         ranges = [range(min(e, q) + 1) for e in exps]
         for gamma in product(*ranges):
@@ -385,18 +397,9 @@ def shift_components(h: Polynomial, q: int,
             mult = 1
             for e, g in zip(exps, gamma):
                 mult *= comb(e, g)
-            rest = tuple(e - g for e, g in zip(exps, gamma))
-            bucket = comps.setdefault(gamma, {})
-            acc = bucket.get(rest, Fraction(0)) + coeff * mult
-            if acc:
-                bucket[rest] = acc
-            else:
-                bucket.pop(rest, None)
-    out: Dict[ExpVec, Polynomial] = {}
-    for gamma, bucket in comps.items():
-        if bucket:
-            out[gamma] = Polynomial(h.variables, bucket)
-    return out
+            rest = tuple(map(sub, exps, gamma))
+            comps.setdefault(gamma, {})[rest] = coeff * mult
+    return {gamma: _trusted(h.variables, b) for gamma, b in comps.items()}
 
 
 def doubled_variables(variables: Sequence[str]) -> Tuple[str, ...]:
@@ -421,14 +424,11 @@ def truncated_shift(h: Polynomial, q: int) -> Polynomial:
     Equals sum over 0 < |beta| <= q of (d^beta h / beta!) * u^beta; the
     u-variables are fresh names appended after the original variables.
     """
-    doubled = doubled_variables(h.variables)
-    n = len(h.variables)
-    comps = shift_components(h, q, include_constant=False)
-    terms: Dict[ExpVec, Fraction] = {}
-    for gamma, poly in comps.items():
+    terms: Dict[ExpVec, Coeff] = {}
+    for gamma, poly in shift_components(h, q).items():
         for exps, coeff in poly.terms.items():
-            terms[tuple(exps) + tuple(gamma)] = coeff
-    return Polynomial(doubled, terms)
+            terms[exps + gamma] = coeff
+    return _trusted(doubled_variables(h.variables), terms)
 
 
 def monomial_text(exps: ExpVec, variables: Sequence[str]) -> str:

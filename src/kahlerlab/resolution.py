@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Polynomial, partial_derivative
+from .poly import Coeff, Polynomial, partial_derivative
 from .parser import RingSpec, make_ringspec
 from .groebner import (krull_dimension, nf_poly, prune_rows, row_lead_key,
                        syzygies_over_ring)
@@ -64,7 +64,7 @@ class AtLeast:
         return "pd >= %d" % self.value
 
 
-def _scalar(p: Polynomial) -> Optional[Fraction]:
+def _scalar(p: Polynomial) -> Optional[Coeff]:
     """The value of a nonzero constant polynomial, else None."""
     if len(p.terms) != 1:
         return None
@@ -96,7 +96,8 @@ def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
         a, b = hit
         pivot = upper.pop(a)
         pv = _scalar(pivot[b])
-        upper = _clear_column(upper, [y.scale(1 / pv) for y in pivot], b, ring)
+        unit = [y.scale(Fraction(1) / pv) for y in pivot]
+        upper = _clear_column(upper, unit, b, ring)
         del lower[b]
 
 

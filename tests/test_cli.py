@@ -252,11 +252,11 @@ def test_verify_paper_structured_on_shipped_corpus(capsys):
 
 REPO = Path(__file__).resolve().parents[1]
 
-# Every benchmark request but verify-paper (which the tests above run on
-# the shipped corpus): each takes at most about 1.5 s, and between them
+# Every benchmark request: each takes at most about 1.5 s, and between them
 # they reach kernel, solve_linear, syzygies_over_ring, prune_rows, the
-# minimal chain behind projective_dimension, the rank elimination and the
-# Jacobian minors.
+# minimal chain behind projective_dimension, the rank elimination, the
+# Jacobian minors and, through verify-paper at its default 200 cases, the
+# property suites.
 FAST_BENCHMARK_REQUESTS = (
     "omega -q 3 --ring src/kahlerlab/corpus/ex316.ring",
     "pd -q 1 --module jets:omega --cutoff 2 --ring src/kahlerlab/corpus/ex316.ring",
@@ -271,6 +271,7 @@ FAST_BENCHMARK_REQUESTS = (
     "rank -q 2 --module omega --ring src/kahlerlab/corpus/ex316.ring",
     "rank -q 1 --module jets:omega --ring src/kahlerlab/corpus/cusp.ring",
     "rank -q 1 --module sym2:omega --ring src/kahlerlab/corpus/ex316.ring",
+    "verify-paper",
 )
 
 

@@ -188,7 +188,7 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     rank = len(db.monomials)
     seeds = _ideal_unit_rows(rank, EX316)
     run = _buchberger([_row_to_vec(r) for r in seeds], EX316.order(), rank,
-                      tagged=False)
+                      tagged=False, nvars=len(EX316.variables))
     rows = _omega_rows(EX316, 2, db)
     absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
     assert absorbed[0] and not absorbed[-1]
@@ -238,7 +238,7 @@ def _ref_reduce(vec, expr, elements, order):
             result[term] = vec.pop(term)
             continue
         gvec, gexpr, glead = reducer
-        coeff = vec[term] / gvec[glead]
+        coeff = Fraction(vec[term], gvec[glead])
         shift = tuple(a - b for a, b in zip(term[1], glead[1]))
         _ref_submul(vec, coeff, shift, gvec)
         if expr is not None and gexpr is not None:
@@ -320,7 +320,7 @@ class _RefRun:
             tail = {t: c for t, c in vec.items() if t != lead}
             rem = {lead: vec[lead]}
             rem.update(_ref_reduce(tail, None, minimal, self.order))
-            out.append({t: c / vec[lead] for t, c in rem.items()})
+            out.append({t: Fraction(c, vec[lead]) for t, c in rem.items()})
         return out
 
 
@@ -575,6 +575,14 @@ def test_zero_rows_and_columns_are_tag_only_inputs(ring):
         assert nf_poly(combo, ring).is_zero()
     out = solve_linear(A, [x, one], ring)
     assert out == NoSolution((zero, one))
+
+
+def test_zero_rows_over_a_ring_without_ideal():
+    # the tag monomial's length comes from the ring, not from an input term
+    zero = Polynomial.zero(PLANE.variables)
+    assert syzygies_over_ring([(zero,)], 1, PLANE) == [(p("1"),)]
+    assert syzygies_over_ring([(zero, zero), (p("x"), zero)], 2, PLANE) == [
+        (p("1"), zero)]
 
 
 def test_krull_dimension():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a kahlerlab module imports is used in it, and
-every module-level private function or class is used in the package.
+"""Source hygiene: every name a kahlerlab module imports is used in it,
+every module-level private function or class is used in the package, and
+every true division is exact.
 
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -79,3 +80,52 @@ def test_the_check_sees_an_unused_private_def():
 def test_no_unused_private_defs():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unused_private_defs(sources) == []
+
+
+# Coefficients may be ints, and int / int is a float.  A true division is
+# exact when one operand is a Fraction(...) call, or inside a function whose
+# operands are Fractions by construction:
+# _rational_system_solvable seeds every entry with Fraction(0).
+DIVISION_ALLOWED = {("diffmod.py", "_rational_system_solvable")}
+
+
+def _is_fraction_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def _unchecked_divisions(module, source):
+    """(line, enclosing function) of each `/` or `/=` in source with no
+    Fraction(...) operand, outside the functions in DIVISION_ALLOWED."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        operands = ()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        if (operands and not any(map(_is_fraction_call, operands))
+                and (module, func) not in DIVISION_ALLOWED):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_an_unchecked_division():
+    source = ("def f(c):\n    return 1 / c\n\n"
+              "def g(c, d):\n    d /= 2\n    return Fraction(1) / c + d\n\n"
+              "def _rational_system_solvable(a, b):\n    return a / b\n")
+    assert _unchecked_divisions("m.py", source) == [
+        (2, "f"), (5, "g"), (9, "_rational_system_solvable")]
+    assert _unchecked_divisions("diffmod.py", source) == [(2, "f"), (5, "g")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_true_divisions_are_exact(path):
+    assert _unchecked_divisions(path.name, path.read_text()) == []

@@ -1,10 +1,13 @@
 """Unit tests for exact polynomial arithmetic and monomial orders."""
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerlab.groebner import _vec_to_row
 from kahlerlab.poly import (
     KEY_MEMO_LIMIT,
     ExponentOverflowError,
@@ -93,6 +96,107 @@ def test_exponent_overflow_guard():
     big = Polynomial(("x",), {(10 ** 9 - 1,): Fraction(1)})
     with pytest.raises(ExponentOverflowError):
         big * big
+    # the engine's rows come back through the same per-monomial check
+    with pytest.raises(ExponentOverflowError):
+        _vec_to_row({(0, (1, 10 ** 9 + 1)): 3}, 1, XY)
+    (at_limit,) = _vec_to_row({(0, (10 ** 9, 0)): 3, (1, (1, 1)): 2}, 1, XY)
+    assert at_limit.terms == {(10 ** 9, 0): 3}
+    # a ring without variables has nothing to check
+    assert (Polynomial((), {(): 2}) * Polynomial((), {(): 3})).terms == {(): 6}
+
+
+# A dict-of-Fraction reference for the arithmetic, which builds its results
+# without the public constructor: each result is compared by value and its
+# stored coefficients are checked.
+
+def _ref(p):
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def _ref_sum(*parts):
+    out = {}
+    for part in parts:
+        for e, c in part.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    return _ref_sum(*({(ea[0] + eb[0], ea[1] + eb[1]): ca * cb}
+                      for ea, ca in a.items() for eb, cb in b.items()))
+
+
+def _ref_derivative(a, i, order):
+    out = {}
+    for e, c in a.items():
+        for _ in range(order):
+            c *= e[i]
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        if c:
+            out[e] = c
+    return out
+
+
+def _ref_taylor(a, gamma):
+    for i, g in enumerate(gamma):
+        if g:
+            a = _ref_derivative(a, i, g)
+    scale = Fraction(1, factorial(gamma[0]) * factorial(gamma[1]))
+    return {e: c * scale for e, c in a.items()}
+
+
+def _assert_stored(p, public=False):
+    """No zero is stored, and every coefficient is an int or a Fraction;
+    the public constructor stores no integral Fraction."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction) and c != 0
+        assert not (public and type(c) is Fraction and c.denominator == 1)
+
+
+def _mixed_poly(rng):
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        e = (rng.randrange(4), rng.randrange(4))
+        num = rng.randrange(-4, 5)
+        kind = rng.randrange(3)
+        terms[e] = (num if kind == 0 else Fraction(num) if kind == 1
+                    else Fraction(num, rng.randrange(1, 4)))
+    return Polynomial(XY, terms)
+
+
+def test_fast_path_matches_the_fraction_reference():
+    rng = random.Random(2024)
+    gammas = [(0, 0), (1, 0), (0, 2), (2, 1), (3, 3)]
+    for _ in range(300):
+        a, b = _mixed_poly(rng), _mixed_poly(rng)
+        _assert_stored(a, public=True)
+        ra, rb = _ref(a), _ref(b)
+        c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+        n = rng.randrange(4)
+        power = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            power = _ref_mul(power, ra)
+        checks = [
+            (a + b, _ref_sum(ra, rb)),
+            (a - b, _ref_sum(ra, {e: -v for e, v in rb.items()})),
+            (a - a, {}),
+            (-a, {e: -v for e, v in ra.items()}),
+            (a * b, _ref_mul(ra, rb)),
+            (a.scale(c), {e: v * c for e, v in ra.items() if v * c}),
+            (a * 2, {e: 2 * v for e, v in ra.items()}),
+            (a ** n, power),
+            (partial_derivative(a, 0), _ref_derivative(ra, 0, 1)),
+            (partial_derivative(a, 1, 2), _ref_derivative(ra, 1, 2)),
+        ]
+        checks += [(taylor_coefficient(a, g), _ref_taylor(ra, g))
+                   for g in gammas]
+        table = shift_components(a, 2, include_constant=True)
+        for g in [(i, j) for i in range(3) for j in range(3 - i)]:
+            checks.append((table.get(g, Polynomial.zero(XY)), _ref_taylor(ra, g)))
+        for got, want in checks:
+            assert got.terms == want
+            _assert_stored(got)
+            _assert_stored(Polynomial(XY, got.terms), public=True)
 
 
 def test_immutability():
