@@ -13,7 +13,6 @@ from .parser import (
     make_ringspec,
     parse_poly,
     parse_ringspec,
-    render,
 )
 from .groebner import (
     NoSolution,

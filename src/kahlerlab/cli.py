@@ -466,7 +466,7 @@ def _load_corpus(corpus_dir: Optional[str]) -> Dict[str, RingSpec]:
         else:
             path = os.path.join(corpus_dir, name + ".ring")
             if os.path.exists(path):
-                rings[name] = parse_ringspec(open(path).read())
+                rings[name] = _load_ring(path)
     return rings
 
 

@@ -39,9 +39,9 @@ completes that augmented run for `syzygies_over_ring`, `prune_rows` and
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of `solve_linear`; `_BuchbergerRun` is
 the one pair loop, completed in one go by `_buchberger` and resumed row by
-row by `prune_rows`; `_syzygy_rows` turns recorded syzygies into rows for
-both `syzygies` and `syzygies_over_ring`; `prune_rows` is the greedy pruner
-of every presentation, kernels included; a `SubmoduleBasis` answers
+row by `prune_rows`; `syzygies_over_ring` is the one syzygy routine, over
+a ring with or without an ideal; `prune_rows` is the greedy pruner of
+every presentation, kernels included; a `SubmoduleBasis` answers
 `normal_form` and `contains` from its completed run.
 """
 
@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Coeff, ExpVec, MonomialOrder, Polynomial, _grown
 from .parser import RingSpec
@@ -427,57 +427,6 @@ def groebner_basis(gens: Sequence, order: Optional[MonomialOrder] = None,
     return SubmoduleBasis(gens, order, rank=rank, variables=variables)
 
 
-def normal_form(value, basis: SubmoduleBasis):
-    """Unique remainder of value modulo the basis; zero iff member."""
-    return basis.normal_form(value)
-
-
-def _syzygy_rows(raw: List[Vec], t: int, variables: Tuple[str, ...],
-                 clean: Callable[[FreeElement], FreeElement],
-                 order: MonomialOrder) -> List[FreeElement]:
-    """Recorded syzygies as rows: cut to the first t slots, passed through
-    `clean`, zero rows dropped, deduplicated, sorted by descending lead."""
-    rows: List[FreeElement] = []
-    seen = set()
-    for vec in raw:
-        row = clean(_vec_to_row(vec, t, variables))
-        if all(p.is_zero() for p in row):
-            continue
-        key = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-    rows.sort(key=lambda r: _low_term_key(_lead(_row_to_vec(r), order), order))
-    return rows
-
-
-def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
-    """Generators of the first syzygy module of basis.generators.
-
-    The result lives in P^t where t = number of generators; every output s
-    satisfies sum_i s_i * gen_i = 0 identically (asserted).
-    """
-    gens = basis.generators
-    if not gens:
-        return SubmoduleBasis((), basis.order, rank=0, variables=basis.variables)
-    inputs = [_row_to_vec(r) for r in gens]
-    raw = _buchberger(inputs, basis.order, basis.rank, tagged=True,
-                      nvars=len(basis.variables)).syzygies
-
-    def vanishes(row: FreeElement) -> FreeElement:
-        combo = None
-        for coeff, gen in zip(row, gens):
-            part = tuple(coeff * g for g in gen)
-            combo = part if combo is None else tuple(a + b for a, b in zip(combo, part))
-        assert all(p.is_zero() for p in combo), "recorded syzygy failed to vanish"
-        return row
-
-    rows = _syzygy_rows(raw, len(gens), basis.variables, vanishes, basis.order)
-    return SubmoduleBasis(rows, basis.order, rank=len(gens),
-                          variables=basis.variables)
-
-
 # ---------------------------------------------------------------------------
 # quotient-ring conveniences
 
@@ -529,14 +478,24 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
     """Generators of {a in R^t : sum a_i * row_i = 0 in R^rank}.
 
     Computed over P against the ideal-augmented list, projected onto the
-    row block, coefficient-reduced modulo I, zero rows dropped.
+    row block, coefficient-reduced modulo I, zero rows dropped,
+    deduplicated and sorted by descending lead.
     """
     if not rows:
         return []
-    raw = _ring_run(rows, rank, ring, tagged=True).syzygies
-    return _syzygy_rows(raw, len(rows), ring.variables,
-                        lambda row: tuple(nf_poly(p, ring) for p in row),
-                        ring.order())
+    t = len(rows)
+    out: List[FreeElement] = []
+    seen = set()
+    for vec in _ring_run(rows, rank, ring, tagged=True).syzygies:
+        row = tuple(nf_poly(p, ring) for p in _vec_to_row(vec, t, ring.variables))
+        key = tuple(tuple(sorted(p.terms.items())) for p in row)
+        if key in seen or all(p.is_zero() for p in row):
+            continue
+        seen.add(key)
+        out.append(row)
+    order = ring.order()
+    out.sort(key=lambda r: _low_term_key(_lead(_row_to_vec(r), order), order))
+    return out
 
 
 def row_lead_key(row: FreeElement, ring: RingSpec):

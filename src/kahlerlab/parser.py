@@ -21,14 +21,13 @@ plain identifiers.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (Coeff, ExpVec, MonomialOrder, Polynomial,
-                   format_polynomial, monomial_text)
+from .poly import (Coeff, ExpVec, ExponentOverflowError, MonomialOrder,
+                   Polynomial, format_polynomial, monomial_text)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DELTA_RE = re.compile(r"^d([0-9]+)$")
@@ -336,7 +335,10 @@ def _parse_factor(ts: _Stream, ring: RingSpec) -> Polynomial:
     if ts.at("^"):
         ts.next()
         tok = ts.expect("number", "an integer exponent")
-        return base ** int(tok[1])
+        try:
+            return base ** int(tok[1])
+        except ExponentOverflowError as e:
+            raise RingParseError(str(e), tok[2], tok[3]) from None
     return base
 
 
@@ -347,8 +349,11 @@ def _parse_term(ts: _Stream, ring: RingSpec) -> Polynomial:
         sign = -sign
     value = _parse_factor(ts, ring)
     while ts.at("*"):
-        ts.next()
-        value = value * _parse_factor(ts, ring)
+        tok = ts.next()
+        try:
+            value = value * _parse_factor(ts, ring)
+        except ExponentOverflowError as e:
+            raise RingParseError(str(e), tok[2], tok[3]) from None
     return value if sign > 0 else -value
 
 
@@ -651,25 +656,3 @@ def resolution_document(r) -> dict:
         "graded": r.graded,
         "steps": [_poly_matrix(step, order) for step in r.steps],
     }
-
-
-def render(value, format: str = "text", ring: Optional[RingSpec] = None) -> str:
-    """Canonical text or structured (JSON) rendering of a result value."""
-    if format not in ("text", "structured"):
-        raise ValueError("unknown format %r" % format)
-    if isinstance(value, Polynomial):
-        order = ring.order() if ring is not None else None
-        text = format_polynomial(value, order)
-        if format == "text":
-            return text
-        return json.dumps({"polynomial": text}, indent=2)
-    if hasattr(value, "steps") and hasattr(value, "betti"):
-        return resolution_text(value) if format == "text" \
-            else json.dumps(resolution_document(value), indent=2)
-    if hasattr(value, "columns") and hasattr(value, "source"):
-        return map_text(value) if format == "text" \
-            else json.dumps(map_document(value), indent=2)
-    if hasattr(value, "generators") and hasattr(value, "relations"):
-        return presentation_text(value) if format == "text" \
-            else json.dumps(presentation_document(value), indent=2)
-    raise TypeError("cannot render %r" % type(value).__name__)

@@ -13,8 +13,8 @@ complex, and splitting checks reduce to syzygy and membership computations.
 Ranks come from fraction-free elimination: one column-clearing step
 (_clear_column) replaces each row by pivot * row - entry * pivot row,
 reduced modulo I.  Over a domain this keeps the rank over Frac(R), so the
-generic rank of a module and the Q-rank of its constant coefficients
-(minimal_generator_count) are both counts of pivots.
+generic rank of a module is a count of pivots.  The scalar sweep of
+resolution.minimal_presentation uses the same step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial
-from .parser import (Label, PlainLabel, RingSpec, SymLabel, make_ringspec,
+from .parser import (Label, PlainLabel, RingSpec, SymLabel,
                      parse_presentation_doc)
 from .groebner import (
     FreeElement,
@@ -159,18 +159,10 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, g.target, cols)
 
 
-def map_violations(f: ModuleMap) -> List[Tuple[int, FreeElement]]:
-    """Source relations whose image is nonzero in the target, with residue."""
-    bad = []
-    for i, row in enumerate(f.source.relations):
-        image = apply_map(f, row)
-        if not element_is_zero(f.target, image):
-            bad.append((i, normalize_element(f.target, image)))
-    return bad
-
-
 def check_well_defined(f: ModuleMap) -> bool:
-    return not map_violations(f)
+    """True when every source relation maps to zero in the target."""
+    return all(element_is_zero(f.target, apply_map(f, row))
+               for row in f.source.relations)
 
 
 def is_zero_map(f: ModuleMap) -> bool:
@@ -406,24 +398,3 @@ def _row_degree(row: FreeElement, degrees: Tuple[int, ...],
         elif found != total:
             return None
     return found
-
-
-def minimal_generator_count(m: Presentation) -> int:
-    """Number of generators in any minimal generating set.
-
-    Graded (weighted) rings require a homogeneous presentation with known
-    generator degrees; otherwise the count is read locally at the origin.
-    Either way it equals ngens minus the Q-rank of the constant-coefficient
-    matrix of the relations.
-    """
-    if m.ring.weights is not None:
-        if m.degrees is None:
-            raise ValueError("graded minimal generator count needs generator degrees")
-        for row in m.relations:
-            if _row_degree(row, m.degrees, m.ring.weights) is None and \
-                    any(not p.is_zero() for p in row):
-                raise ValueError("presentation is not homogeneous for the weights")
-    plain = make_ringspec(m.ring.variables)
-    constants = [[Polynomial.const(plain.variables, x.constant_term())
-                  for x in row] for row in m.relations]
-    return m.ngens - _matrix_rank(constants, plain)

@@ -10,11 +10,13 @@ cached: it starts from minimal_presentation and sweeps scalar pivots at
 every level, since a nonzero constant entry in a step matrix certifies
 that one generator of the level below is an R-combination of the others,
 so the pivot row, its column, and that generator are removed.  It never
-builds the raw resolution.  On graded input (and on input whose entries
-all vanish at the origin) its Betti numbers are the minimal ones; if a
-unit that is not an exact constant survives, the elimination is
-incomplete and the build raises instead of guessing.  Callers pass the
-cutoff positionally, so the cache holds one entry per (module, cutoff).
+builds the raw resolution.  The chain is read at the origin, which must
+lie on V(I) (no ideal generator has a nonzero constant term, else the
+build raises); when every surviving entry vanishes there, its Betti
+numbers are the minimal ones, graded or not.  If a unit that is not an
+exact constant survives, the elimination is incomplete and the build
+raises instead of guessing.  Callers pass the cutoff positionally, so the
+cache holds one entry per (module, cutoff).
 
 projective_dimension reads its verdict off the minimal chain alone:
 Finite at the last nonzero step when the chain terminates, AtLeast(cutoff)
@@ -127,11 +129,12 @@ def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
 
 
 def _graded_chain(m: Presentation, steps) -> bool:
-    """True when generator degrees exist and every step row is homogeneous
-    for them (weights default to 1 per variable)."""
-    if m.degrees is None:
-        return False
+    """True when generator degrees exist and the ideal generators and every
+    step row are homogeneous for the weights (1 per variable by default)."""
     weights = m.ring.weights or tuple(1 for _ in m.ring.variables)
+    if m.degrees is None or any(f.homogeneous_degree(weights) is None
+                                for f in m.ring.ideal):
+        return False
     degrees = m.degrees
     for step in steps:
         found = []
@@ -183,6 +186,9 @@ def minimal_resolution(m: Presentation, cutoff: int = 6) -> ResolutionReport:
     so they enter _chain as is."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    if any(f.constant_term() != 0 for f in m.ring.ideal):
+        raise ValueError("the origin is not on V(I); the minimal chain "
+                         "is read at the origin")
     mp = minimal_presentation(m)
     steps, terminated = _chain(mp.relations, mp.ring, cutoff, sweep=True)
     for step in steps:

@@ -1,13 +1,15 @@
 """End-to-end tests of the command line interface (run in-process)."""
 
+import gc
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import main
+from kahlerlab.cli import _load_corpus, main
 from kahlerlab.parser import parse_presentation_doc
 
 CUSP_TEXT = """\
@@ -210,6 +212,45 @@ def test_rank_needs_domain(capsys, tmp_path):
     code, _, err = run(capsys, ["rank", "--ring", str(path), "-q", "1"])
     assert code == 2
     assert err.strip()
+
+
+def test_origin_off_the_variety_has_no_minimal_chain(capsys, tmp_path):
+    # On the circle the relation row (2x, 2y) of Omega^1 is unimodular
+    # (x*2x + y*2y = 2 in R), so Omega^1 is free: pd 1 would be false.
+    path = tmp_path / "circle.ring"
+    path.write_text("vars = [x, y];\nideal = [x^2 + y^2 - 1];\n"
+                    "assume_domain = true;\n")
+    code, out, err = run(capsys, [
+        "pd", "--ring", str(path), "-q", "1", "--module", "omega"])
+    assert code == 2 and out == ""
+    assert "origin is not on V(I)" in err
+    code, out, _ = run(capsys, [
+        "resolve", "--ring", str(path), "-q", "1", "--module", "omega"])
+    assert code == 0
+    assert "graded = false;" in out
+
+
+@pytest.mark.parametrize("ideal, column", [
+    ("x^2000000000", 12),
+    ("x^999999999*x^999999999", 21),
+])
+def test_exponent_overflow_is_a_parse_error(capsys, tmp_path, ideal, column):
+    path = tmp_path / "big.ring"
+    path.write_text("vars = [x];\nideal = [%s];\n" % ideal)
+    code, out, err = run(capsys, ["regular", "--ring", str(path)])
+    assert code == 2 and out == ""
+    assert "exceeds limit (line 2, column %d)" % column in err
+
+
+def test_corpus_files_are_closed(tmp_path):
+    (tmp_path / "poly1.ring").write_text("vars = [x];\nideal = [];\n")
+    (tmp_path / "poly2.ring").write_text(PLANE_TEXT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rings = _load_corpus(str(tmp_path))
+        gc.collect()
+    assert sorted(rings) == ["poly1", "poly2"]
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_unknown_module_selector(capsys, cusp_file):

@@ -27,7 +27,6 @@ from kahlerlab.presentations import (
     free_presentation,
     identity_map,
     kernel,
-    minimal_generator_count,
     parse_presentation,
     presentation_is_zero,
     rank,
@@ -37,7 +36,7 @@ from kahlerlab.presentations import (
     zero_map,
     zero_presentation,
 )
-from kahlerlab.resolution import _minor
+from kahlerlab.resolution import _minor, minimal_presentation, minimal_resolution
 
 PLANE = make_ringspec(("x", "y"))
 CUSP = parse_ringspec(
@@ -59,7 +58,7 @@ def test_free_module_basics():
     m = free_presentation(PLANE, gens("a", "b"))
     assert m.ngens == 2 and m.relations == ()
     assert rank(m) == 2
-    assert minimal_generator_count(m) == 2
+    assert minimal_presentation(m).ngens == 2
     assert not presentation_is_zero(m)
     assert presentation_is_zero(zero_presentation(PLANE))
 
@@ -304,19 +303,20 @@ def test_rank_requires_domain():
         rank(m)
 
 
-def test_minimal_generator_count_local():
+def test_minimal_presentation_drops_a_redundant_generator():
     # one generator is redundant: b = -x*a after the constant pivot
     m = Presentation(PLANE, gens("a", "b"), ((p("x"), p("1")),))
-    assert minimal_generator_count(m) == 1
+    assert minimal_presentation(m).ngens == 1
 
 
-def test_minimal_generator_count_graded_needs_homogeneous():
+def test_minimal_chain_rejects_a_unit_that_is_not_constant():
+    # x + 1 is a unit at the origin but not a constant: no count is read off
     m = Presentation(CUSP, gens("a",), ((p("x + 1", CUSP),),), degrees=(2,))
     with pytest.raises(ValueError):
-        minimal_generator_count(m)
+        minimal_resolution(m, 1)
     ok = Presentation(CUSP, gens("a", "b"),
                       ((p("y", CUSP), p("x", CUSP)),), degrees=(2, 3))
-    assert minimal_generator_count(ok) == 2
+    assert minimal_presentation(ok).ngens == 2
 
 
 def test_parse_presentation_round_trip():
