@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="contract to Omega^1 or embed into jets")
         if bound:
             p.add_argument("--degree-bound", type=_positive_int, default=6,
-                           help="oracle ansatz degree for ungraded rings")
+                           help="oracle ansatz degree for rings that are "
+                                "not homogeneous")
         p.add_argument("--format", default="text",
                        choices=("text", "structured"))
         return p

@@ -27,17 +27,11 @@ from .presentations import (
     ModuleMap,
     Presentation,
     _pair_index,
-    _row_degree,
+    _row_degrees,
     direct_sum,
     ring_as_module,
     symmetric_square,
 )
-
-
-def _wdeg(exps: ExpVec, weights: Optional[Tuple[int, ...]]) -> int:
-    if weights is None:
-        return sum(exps)
-    return sum(e * w for e, w in zip(exps, weights))
 
 
 def _exponent_vectors(nvars: int, q: int, floor: int) -> List[ExpVec]:
@@ -78,7 +72,8 @@ class DeltaBasis:
                      for m in self.monomials)
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(_wdeg(m, self.ring.weights) for m in self.monomials)
+        order = self.ring.order()
+        return tuple(order.degree(m) for m in self.monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,8 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
                  for beta in betas for t in range(k))
     degrees = None
     if m.degrees is not None:
-        degrees = tuple(m.degrees[t] + _wdeg(beta, ring.weights)
+        order = ring.order()
+        degrees = tuple(m.degrees[t] + order.degree(beta)
                         for beta in betas for t in range(k))
     rows: List[FreeElement] = []
     for r in m.relations:
@@ -340,7 +336,7 @@ def theta_to_jets(ring: RingSpec, q: int) -> ModuleMap:
     cols = []
     for alpha in DeltaBasis(ring, 2 * q).monomials:
         r = delta_expand(Polynomial.monomial(ring.variables, alpha), ring, q)
-        cols.append(tuple(nf_poly(c, ring) for c in _jet_of_element(r, ring, q)))
+        cols.append(_jet_of_element(r, ring, q))
     return ModuleMap(source, target, tuple(cols))
 
 
@@ -551,23 +547,6 @@ def splitting_t(ring: RingSpec, derivation: Optional[SymmetricDerivation] = None
 # bounded-degree existence oracle (no Groebner machinery)
 
 
-def _monomials_of_weight(variables: Tuple[str, ...],
-                         weights: Tuple[int, ...], d: int) -> List[ExpVec]:
-    if d < 0:
-        return []
-    out = []
-    def rec(prefix, remaining, i):
-        if i == len(variables):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(prefix + [e], remaining - e * w, i + 1)
-    rec([], d, 0)
-    return out
-
-
 def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
                                 degree_bound: int = 6) -> bool:
     """Brute-force existence check by undetermined coefficients.
@@ -575,16 +554,18 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     Looks for polynomial generator images, relation-span multipliers and
     ideal multipliers making the Leibniz constraint an exact polynomial
     identity; the search is a Q-linear system over a bounded monomial
-    ansatz (exact weighted degree when the ring is graded, total degree
-    <= degree_bound otherwise), solved by Gaussian elimination."""
+    ansatz, solved by Gaussian elimination.  When the ring is homogeneous
+    for its grading (x_i has its declared weight, or 1) and so are all
+    relation rows, each unknown is sought in its exact degree: every known
+    term of the identity is homogeneous, so the right-degree part of any
+    solution is a solution.  Otherwise the ansatz is all monomials of
+    total degree <= degree_bound."""
     omega = omega_presentation(ring, q)
     if not omega.relations:
         return True
     sym = symmetric_square(omega)
     nsym = sym.ngens
     pair = _pair_index(omega.ngens)
-    pair_weight = [omega.degrees[i] + omega.degrees[j]
-                   for (i, j) in sorted(pair, key=pair.get)]
     basis = DeltaBasis(ring, q)
 
     # raw Leibniz part of each relation row, never reduced modulo I: over
@@ -605,22 +586,17 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
                 acc[idx] = acc[idx] + c
         leib_rows.append(acc)
 
-    weights = ring.weights
-    graded = weights is not None and bool(ring.homogeneous)
-    row_degrees: List[Optional[int]] = []
-    sym_degrees: List[Optional[int]] = []
-    if graded:
-        row_degrees = [_row_degree(m, omega.degrees, weights)
-                       for m in omega.relations]
-        sym_degrees = [_row_degree(l, pair_weight, weights)
-                       for l in sym.relations]
-        if None in row_degrees or None in sym_degrees:
-            graded = False
+    row_degrees = _row_degrees(omega.relations, omega.degrees, ring)
+    sym_degrees = _row_degrees(sym.relations, sym.degrees, ring)
+    graded = row_degrees is not None and sym_degrees is not None
+    order = ring.order()
+    nvars = len(ring.variables)
 
     def ansatz(forced_degree: Optional[int]) -> List[ExpVec]:
         if graded:
-            return _monomials_of_weight(ring.variables, weights, forced_degree)
-        return _exponent_vectors(len(ring.variables), degree_bound, 0)
+            return [e for e in product(range(forced_degree + 1), repeat=nvars)
+                    if order.degree(e) == forced_degree]
+        return _exponent_vectors(nvars, degree_bound, 0)
 
     # unknown polynomial coefficients, bucketed by which polynomial they
     # belong to; each bucket holds (monomial, column) pairs
@@ -636,7 +612,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
 
     for sigma in range(omega.ngens):
         for c in range(nsym):
-            forced = omega.degrees[sigma] - pair_weight[c] if graded else None
+            forced = omega.degrees[sigma] - sym.degrees[c] if graded else None
             add_unknown(("img", sigma, c), forced)
     for rho in range(len(omega.relations)):
         for k in range(len(sym.relations)):
@@ -646,8 +622,8 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
             for j, f in enumerate(ring.ideal):
                 forced = None
                 if graded:
-                    forced = (row_degrees[rho] - pair_weight[c]
-                              - f.homogeneous_degree(weights))
+                    forced = (row_degrees[rho] - sym.degrees[c]
+                              - f.homogeneous_degree(ring.weights))
                 add_unknown(("ideal", rho, c, j), forced)
 
     # one equation per monomial coefficient of each (relation, coordinate)

@@ -53,15 +53,16 @@ class RingParseError(ValueError):
 class RingSpec:
     """An affine algebra R = Q[x_1..x_s]/(f_1..f_m) with optional weights.
 
-    `homogeneous` records (when weights are declared) whether every ideal
-    generator is weighted-homogeneous; it is informational, not required.
+    The ring's grading gives x_i its declared weight, or 1 when no weights
+    are declared.  `homogeneous` records whether every ideal generator is
+    homogeneous for that grading; graded answers need it, others ignore it.
     """
 
     variables: Tuple[str, ...]
     weights: Optional[Tuple[int, ...]]
     ideal: Tuple[Polynomial, ...]
     assume_domain: bool
-    homogeneous: Optional[bool]
+    homogeneous: bool
 
     def order(self) -> MonomialOrder:
         if self.weights is not None:
@@ -106,9 +107,7 @@ def make_ringspec(variables: Sequence[str],
             raise RingParseError("ideal generator uses a different variable list")
         if f.is_zero():
             raise RingParseError("zero polynomial in ideal list")
-    homogeneous: Optional[bool] = None
-    if weights is not None:
-        homogeneous = all(f.homogeneous_degree(weights) is not None for f in ideal)
+    homogeneous = all(f.homogeneous_degree(weights) is not None for f in ideal)
     return RingSpec(variables, weights, ideal, bool(assume_domain), homogeneous)
 
 
@@ -117,105 +116,66 @@ def make_ringspec(variables: Sequence[str],
 
 
 class Label:
-    """Base class for generator labels; subclasses are immutable."""
-
-    __slots__ = ()
-
-    def render(self) -> str:
-        raise NotImplementedError
+    """Base class for generator labels: frozen dataclasses that print as
+    their rendering."""
 
     def __repr__(self):
         return self.render()
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
 
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        raise NotImplementedError
-
-
+@dataclass(frozen=True, repr=False)
 class PlainLabel(Label):
-    __slots__ = ("name",)
+    name: str
 
-    def __init__(self, name: str):
-        if not _IDENT_RE.fullmatch(name):
-            raise ValueError("plain label must be an identifier: %r" % name)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    def __post_init__(self):
+        if not _IDENT_RE.fullmatch(self.name):
+            raise ValueError("plain label must be an identifier: %r" % self.name)
 
     def render(self) -> str:
         return self.name
 
-    def _key(self):
-        return self.name
 
-
+@dataclass(frozen=True, repr=False)
 class DeltaLabel(Label):
     """delta^(q)(x^alpha): rendered d{q}(monomial)."""
 
-    __slots__ = ("q", "exps", "variables")
-
-    def __init__(self, q: int, exps: ExpVec, variables: Tuple[str, ...]):
-        object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "exps", tuple(exps))
-        object.__setattr__(self, "variables", tuple(variables))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    q: int
+    exps: ExpVec
+    variables: Tuple[str, ...]
 
     def render(self) -> str:
         return "d%d(%s)" % (self.q, monomial_text(self.exps, self.variables))
 
-    def _key(self):
-        return (self.q, self.exps, self.variables)
 
-
+@dataclass(frozen=True, repr=False)
 class JetLabel(Label):
     """Jet generator Delta_q(x^beta * inner): rendered D{q}[inner](monomial)."""
 
-    __slots__ = ("q", "inner", "exps", "variables")
-
-    def __init__(self, q: int, inner: Label, exps: ExpVec, variables: Tuple[str, ...]):
-        object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "exps", tuple(exps))
-        object.__setattr__(self, "variables", tuple(variables))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+    q: int
+    inner: Label
+    exps: ExpVec
+    variables: Tuple[str, ...]
 
     def render(self) -> str:
         return "D%d[%s](%s)" % (self.q, self.inner.render(),
                                 monomial_text(self.exps, self.variables))
 
-    def _key(self):
-        return (self.q, self.inner, self.exps, self.variables)
 
-
+@dataclass(frozen=True, repr=False)
 class SymLabel(Label):
     """Unordered symmetric pair: rendered s(a,b) with a fixed factor order."""
 
-    __slots__ = ("a", "b")
+    a: Label
+    b: Label
 
-    def __init__(self, a: Label, b: Label):
+    def __post_init__(self):
+        a, b = self.a, self.b
         if b.render() < a.render():
-            a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
+            object.__setattr__(self, "a", b)
+            object.__setattr__(self, "b", a)
 
     def render(self) -> str:
         return "s(%s,%s)" % (self.a.render(), self.b.render())
-
-    def _key(self):
-        return (self.a, self.b)
 
 
 # ---------------------------------------------------------------------------

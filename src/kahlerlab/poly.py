@@ -22,7 +22,7 @@ format used by the parser, the CLI and the test corpus.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, perm
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -311,6 +311,11 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take a non-negative integer")
+        # the largest exponent of self**n is n times that of self; checking
+        # it first names it, not an intermediate of the squaring
+        top = n * max(chain.from_iterable(self.terms), default=0)
+        if top > EXPONENT_LIMIT:
+            raise ExponentOverflowError("exponent %d exceeds limit" % top)
         out = Polynomial.const(self.variables, 1)
         base = self
         while n:

@@ -118,11 +118,11 @@ def presentation_is_zero(m: Presentation) -> bool:
 
 
 def normalize_element(m: Presentation, element: FreeElement) -> FreeElement:
-    """Canonical representative of an element of m (NF against relations)."""
+    """Canonical representative of an element of m: its normal form against
+    the relations plus I*P^ngens, so no entry has a term in LT(I)."""
     if m.ngens == 0:
         return ()
-    out = relation_basis(m).normal_form(tuple(element))
-    return tuple(nf_poly(p, m.ring) for p in out)
+    return relation_basis(m).normal_form(tuple(element))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +198,7 @@ def kernel(f: ModuleMap) -> Tuple[Presentation, ModuleMap]:
         return k, zero_map(k, src)
     rel_items = list(gens) + list(src.relations)
     syz2 = syzygies_over_ring(rel_items, ncols, ring)
-    rels = []
-    for row in syz2:
-        head = tuple(nf_poly(p, ring) for p in row[:len(gens)])
-        if any(not p.is_zero() for p in head):
-            rels.append(head)
-    rels = prune_rows(rels, len(gens), ring)
+    rels = prune_rows([row[:len(gens)] for row in syz2], len(gens), ring)
     k = Presentation(ring, labels, tuple(rels))
     return k, ModuleMap(k, src, tuple(gens))
 
@@ -315,9 +310,7 @@ def symmetric_square(m: Presentation) -> Presentation:
                 a, b = min(i, k), max(i, k)
                 idx = pair_index[(a, b)]
                 out[idx] = out[idx] + coeff
-            out = [nf_poly(p, m.ring) for p in out]
-            if any(not p.is_zero() for p in out):
-                rows.append(tuple(out))
+            rows.append(tuple(out))
     rows = prune_rows(rows, len(labels), m.ring)
     degrees = None
     if m.degrees is not None:
@@ -382,19 +375,24 @@ def _matrix_rank(rows: Sequence[Sequence[Polynomial]], ring: RingSpec) -> int:
     return count
 
 
-def _row_degree(row: FreeElement, degrees: Tuple[int, ...],
-                weights: Tuple[int, ...]) -> Optional[int]:
-    """Common degree of a homogeneous relation row, or None if mixed."""
-    found = None
-    for entry, d in zip(row, degrees):
-        if entry.is_zero():
-            continue
-        h = entry.homogeneous_degree(weights)
-        if h is None:
+def _row_degrees(rows: Sequence[Sequence[Polynomial]],
+                 degrees: Optional[Sequence[int]],
+                 ring: RingSpec) -> Optional[List[int]]:
+    """The degree of every row under the ring's grading, where column i
+    has degree degrees[i]; None when the degrees are missing, the ring is
+    not homogeneous, or a row is not homogeneous (zero rows included)."""
+    if degrees is None or not ring.homogeneous:
+        return None
+    out = []
+    for row in rows:
+        found = set()
+        for entry, d in zip(row, degrees):
+            if not entry.is_zero():
+                h = entry.homogeneous_degree(ring.weights)
+                if h is None:
+                    return None
+                found.add(h + d)
+        if len(found) != 1:
             return None
-        total = h + d
-        if found is None:
-            found = total
-        elif found != total:
-            return None
-    return found
+        out.append(found.pop())
+    return out

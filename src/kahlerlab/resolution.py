@@ -32,10 +32,10 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Coeff, Polynomial, partial_derivative
-from .parser import RingSpec, make_ringspec
-from .groebner import (krull_dimension, nf_poly, prune_rows, row_lead_key,
-                       syzygies_over_ring)
-from .presentations import Presentation, _clear_column, _row_degree
+from .parser import RingSpec
+from .groebner import (groebner_basis, krull_dimension, nf_poly, prune_rows,
+                       row_lead_key, syzygies_over_ring)
+from .presentations import Presentation, _clear_column, _row_degrees
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -129,22 +129,12 @@ def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
 
 
 def _graded_chain(m: Presentation, steps) -> bool:
-    """True when generator degrees exist and the ideal generators and every
-    step row are homogeneous for the weights (1 per variable by default)."""
-    weights = m.ring.weights or tuple(1 for _ in m.ring.variables)
-    if m.degrees is None or any(f.homogeneous_degree(weights) is None
-                                for f in m.ring.ideal):
-        return False
-    degrees = m.degrees
+    """True when the ring is homogeneous, m has generator degrees and every
+    step row is homogeneous for the ring's grading (_row_degrees)."""
+    degrees = m.degrees if m.ring.homogeneous else None
     for step in steps:
-        found = []
-        for row in step:
-            d = _row_degree(tuple(row), degrees, weights)
-            if d is None:
-                return False
-            found.append(d)
-        degrees = tuple(found)
-    return True
+        degrees = _row_degrees(step, degrees, m.ring)
+    return degrees is not None
 
 
 def _report(m: Presentation, steps, terminated: bool,
@@ -257,6 +247,5 @@ def jacobian_regular(ring: RingSpec) -> bool:
             d = _minor(jac, rsel, csel, ring, cache)
             if not d.is_zero():
                 minors.append(d)
-    extended = make_ringspec(ring.variables, None,
-                             tuple(ring.ideal) + tuple(minors))
-    return nf_poly(ring.one(), extended).is_zero()
+    return groebner_basis(list(ring.ideal) + minors,
+                          ring.order()).contains(ring.one())

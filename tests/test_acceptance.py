@@ -379,6 +379,16 @@ def test_criterion_09_symmetric_derivation_consistency():
                 _exact_split_bundle(ring, got.derivation)
 
 
+def test_criterion_09_unweighted_graded_rings_at_q2():
+    # no weights declared: the oracle grades by weight 1 per variable
+    with budget(10):
+        for text in ("vars = [x, y]; ideal = [x*y];",
+                     "vars = [x, y, z]; ideal = [x*y - z^2];"):
+            ring = parse_ringspec(text)
+            found = isinstance(symmetric_derivation_solve(ring, 2), Found)
+            assert found == symmetric_derivation_oracle(ring, 2)
+
+
 def test_criterion_10_pd_consistency_sweep():
     with budget(10):
         for name, ring in CORPUS.items():

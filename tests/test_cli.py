@@ -230,16 +230,19 @@ def test_origin_off_the_variety_has_no_minimal_chain(capsys, tmp_path):
     assert "graded = false;" in out
 
 
-@pytest.mark.parametrize("ideal, column", [
-    ("x^2000000000", 12),
-    ("x^999999999*x^999999999", 21),
+@pytest.mark.parametrize("ideal, column, exponent", [
+    pytest.param("x^2000000000", 12, 2000000000, id="x^2000000000-12"),
+    pytest.param("x^999999999*x^999999999", 21, 1999999998,
+                 id="x^999999999*x^999999999-21"),
 ])
-def test_exponent_overflow_is_a_parse_error(capsys, tmp_path, ideal, column):
+def test_exponent_overflow_is_a_parse_error(capsys, tmp_path, ideal, column,
+                                            exponent):
     path = tmp_path / "big.ring"
     path.write_text("vars = [x];\nideal = [%s];\n" % ideal)
     code, out, err = run(capsys, ["regular", "--ring", str(path)])
     assert code == 2 and out == ""
-    assert "exceeds limit (line 2, column %d)" % column in err
+    assert ("exponent %d exceeds limit (line 2, column %d)"
+            % (exponent, column)) in err
 
 
 def test_corpus_files_are_closed(tmp_path):

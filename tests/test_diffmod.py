@@ -51,6 +51,9 @@ PLANE = make_ringspec(("x", "y"))
 LINE = make_ringspec(("x",))
 CUSP = parse_ringspec(
     "vars = [x, y]; weights = [2, 3]; ideal = [y^2 - x^3]; assume_domain = true;")
+# homogeneous for the grading of weight 1 per variable, no weights declared
+CROSS = parse_ringspec("vars = [x, y]; ideal = [x*y];")
+CONE = parse_ringspec("vars = [x, y, z]; ideal = [x*y - z^2];")
 
 
 def p(text, ring=PLANE):
@@ -339,7 +342,7 @@ def test_apply_derivation_leibniz_value():
 
 
 def test_symmetric_derivation_verdicts_agree_with_oracle():
-    for ring in (PLANE, LINE, CUSP):
+    for ring in (PLANE, LINE, CUSP, CROSS, CONE):
         found = isinstance(symmetric_derivation_solve(ring, 1), Found)
         assert found == symmetric_derivation_oracle(ring, 1)
 

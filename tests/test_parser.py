@@ -39,6 +39,12 @@ def test_parse_cusp_ring():
     assert f.coefficient((0, 2)) == 1 and f.coefficient((3, 0)) == -1
 
 
+def test_homogeneous_for_the_default_grading():
+    assert parse_ringspec("vars = [x, y]; ideal = [x*y];").homogeneous is True
+    circle = parse_ringspec("vars = [x, y]; ideal = [x^2 + y^2 - 1];")
+    assert circle.homogeneous is False
+
+
 def test_parse_polynomial_ring():
     ring = parse_ringspec("vars = [x];\nideal = [];\n")
     assert ring.variables == ("x",)

@@ -19,7 +19,7 @@ from kahlerlab.resolution import (
     minimal_resolution,
     projective_dimension,
 )
-from kahlerlab.groebner import nf_poly
+from kahlerlab.groebner import nf_poly, ring_groebner
 
 PLANE = make_ringspec(("x", "y"))
 LINE = make_ringspec(("x",))
@@ -155,3 +155,9 @@ def test_jacobian_regular():
         "vars = [x, y, z]; weights = [4, 5, 6];"
         " ideal = [y^2 - x*z, z^2 - x^3]; assume_domain = true;")
     assert not jacobian_regular(ex316)
+
+
+def test_jacobian_regular_caches_only_the_ring_basis():
+    ring_groebner.cache_clear()
+    assert not jacobian_regular(CUSP)
+    assert ring_groebner.cache_info().currsize == 1
