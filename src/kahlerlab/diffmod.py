@@ -407,6 +407,10 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
     """Decide existence of a symmetric derivation by solving for generator
     images: for every relation row m of Omega^(q) the combination
     sym-part(m) + sum_s m_s D(e_s) must lie in the relation span of S^2.
+
+    The system lives in one copy of R^(S^2 generators) per relation row:
+    the unknown D(e_s)_c has the column m_s at slot c of every copy, and
+    the base is the relations of S^2 in each copy (block-diagonal).
     Returns Found(derivation) or NotFound(residual certificate)."""
     omega = omega_presentation(ring, q)
     sym = symmetric_square(omega)
@@ -414,24 +418,16 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
     if not omega.relations:
         return Found(zero_d)
     nsym = sym.ngens
-    nuk = omega.ngens * nsym
-    slack = [(rho, k) for rho in range(len(omega.relations))
-             for k in range(len(sym.relations))]
+    rels = omega.relations
     zero = ring.zero()
-    A: List[List[Polynomial]] = []
-    b: List[Polynomial] = []
-    for rho, m in enumerate(omega.relations):
-        leib = apply_derivation(zero_d, m)
-        for c in range(nsym):
-            row = [zero] * (nuk + len(slack))
-            for sigma, coeff in enumerate(m):
-                row[sigma * nsym + c] = coeff
-            for col, (rho2, k) in enumerate(slack):
-                if rho2 == rho:
-                    row[nuk + col] = sym.relations[k][c]
-            A.append(row)
-            b.append(-leib[c])
-    out = solve_linear(A, b, ring)
+    columns = [tuple(m[sigma] if c2 == c else zero
+                     for m in rels for c2 in range(nsym))
+               for sigma in range(omega.ngens) for c in range(nsym)]
+    base = [tuple(r[c] if rho2 == rho else zero
+                  for rho2 in range(len(rels)) for c in range(nsym))
+            for rho in range(len(rels)) for r in sym.relations]
+    b = tuple(-p for m in rels for p in apply_derivation(zero_d, m))
+    out = solve_linear(columns, b, ring, base)
     if isinstance(out, NoSolution):
         return NotFound(out.residual)
     sol = out.column

@@ -18,22 +18,28 @@ remainder is the value a rational reduction gives.  Pending terms wait in a
 heap keyed by the order's memoised `low_key`.
 
 Syzygies come from tag positions (Cox-Little-O'Shea, *Using Algebraic
-Geometry*, ch. 5 sec. 3).  In a tagged run over P^rank, input i carries the
-extra unit term e_(rank+i).  Positions >= rank sort below every real
-position, so an element's tags never lead while its part below rank is
-nonzero, and no working element reduces a tag: each element's tags write
-it as a combination of the inputs.  An element whose terms all sit at
-positions >= rank is a syzygy of the inputs; it is recorded, shifted down by
-rank, and never joins the basis.  The inputs stay in the working basis and
-no pair is skipped in a tagged run, which is what Schreyer's argument needs
-for the recorded set to generate the full syzygy module (Eisenbud,
-*Commutative Algebra*, Thm 15.10).
+Geometry*, ch. 5 sec. 3).  A run over P^rank tags its first t inputs:
+input i < t carries the extra unit term e_(rank+i), and the inputs after
+them (a `base` and the ideal rows) carry none.  Positions >= rank sort
+below every real position, so an element's tags never lead while its part
+below rank is nonzero, and no working element reduces a tag: each
+element's tags write it, modulo the untagged inputs, as a combination of
+the tagged ones.  An element whose terms all sit at positions >= rank is a
+syzygy of the tagged inputs modulo the span of the others; it is
+recorded, shifted down by rank, and never joins the basis.  The recorded
+set generates all such syzygies (Eisenbud, *Commutative Algebra*,
+Thm 15.10): the working elements' parts below rank form a Groebner basis
+of the inputs' span, so by Schreyer's theorem a relation among them is a
+combination of their S-pair relations, and each S-pair's remainder is
+zero, a new working element or recorded.  That needs the S-pair relations
+of every pair, so a run with tags skips none.
 
 Submodules over a quotient ring R = P/I are handled by the augmentation
 convention: add f*e_k for every ideal generator f and unit vector e_k,
 compute over P, and project/reduce afterwards.  `_ring_run` assembles and
 completes that augmented run for `syzygies_over_ring`, `prune_rows` and
-`solve_linear`; `submodule_over_ring` wraps the same list in a
+`solve_linear`, each of which works modulo span(base) + I*P^rank for a
+`base` of untagged rows; `submodule_over_ring` wraps the same list in a
 `SubmoduleBasis`.
 
 Each engine step has one implementation: `_reduce` is the reduction loop
@@ -247,13 +253,13 @@ class _BuchbergerRun:
 
 
 def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
-                tagged: bool, nvars: int) -> _BuchbergerRun:
-    """Fill a run with the inputs over nvars variables, tagged if asked,
-    and complete it."""
-    run = _BuchbergerRun(order, rank, tagged)
+                ntags: int, nvars: int) -> _BuchbergerRun:
+    """Fill a run with the inputs over nvars variables, the first ntags of
+    them tagged, and complete it."""
+    run = _BuchbergerRun(order, rank, tagged=ntags > 0)
     for i, vec in enumerate(inputs):
         vec = dict(vec)
-        if tagged:
+        if i < ntags:
             vec[(rank + i, (0,) * nvars)] = 1
         if vec:
             run.add(vec)
@@ -319,8 +325,8 @@ def _row_to_vec(row: FreeElement) -> Vec:
 
 
 def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
-    """The first `rank` slots of vec as a row; later positions (tags, or a
-    syzygy's entries on the ideal rows) are dropped."""
+    """The first `rank` slots of vec as a row; later positions (the tags
+    of a `solve_linear` remainder) are dropped."""
     buckets: List[Dict[ExpVec, Coeff]] = [dict() for _ in range(rank)]
     for (pos, exps), coeff in vec.items():
         if pos < rank:
@@ -372,7 +378,7 @@ class SubmoduleBasis:
     @cached_property
     def _run(self) -> _BuchbergerRun:
         inputs = [_row_to_vec(r) for r in self.generators]
-        return _buchberger(inputs, self.order, self.rank, tagged=False,
+        return _buchberger(inputs, self.order, self.rank, 0,
                            nvars=len(self.variables))
 
     @cached_property
@@ -423,7 +429,7 @@ def groebner_basis(gens: Sequence, order: Optional[MonomialOrder] = None,
                    variables: Optional[Tuple[str, ...]] = None) -> SubmoduleBasis:
     """Reduced deterministic Groebner basis of the generated submodule."""
     if order is None:
-        order = MonomialOrder("degrevlex")
+        order = MonomialOrder()
     return SubmoduleBasis(gens, order, rank=rank, variables=variables)
 
 
@@ -455,12 +461,13 @@ def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
 
 
 def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
-              tagged: bool) -> _BuchbergerRun:
-    """Completed run over P on rows + I*P^rank, the rows first (so their
-    tags are the first ones)."""
-    items = [_as_row(r, rank) for r in rows] + _ideal_unit_rows(rank, ring)
+              base: Sequence[FreeElement] = ()) -> _BuchbergerRun:
+    """Completed run over P on the rows, then `base`, then I*P^rank; the
+    rows alone carry tags."""
+    items = [_as_row(r, rank) for r in (*rows, *base)]
+    items += _ideal_unit_rows(rank, ring)
     return _buchberger([_row_to_vec(r) for r in items], ring.order(), rank,
-                       tagged, nvars=len(ring.variables))
+                       len(rows), nvars=len(ring.variables))
 
 
 def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
@@ -474,19 +481,21 @@ def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
 
 
 def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
-                       ring: RingSpec) -> List[FreeElement]:
-    """Generators of {a in R^t : sum a_i * row_i = 0 in R^rank}.
+                       ring: RingSpec,
+                       base: Sequence[FreeElement] = ()) -> List[FreeElement]:
+    """Generators of {a in R^t : sum a_i * row_i in span(base) in R^rank},
+    the syzygies of the rows modulo span(base) + I*P^rank.
 
-    Computed over P against the ideal-augmented list, projected onto the
-    row block, coefficient-reduced modulo I, zero rows dropped,
-    deduplicated and sorted by descending lead.
+    Read off one run over P in which the rows carry tags and `base` and
+    the ideal rows do not; coefficient-reduced modulo I, zero rows
+    dropped, deduplicated and sorted by descending lead.
     """
     if not rows:
         return []
     t = len(rows)
     out: List[FreeElement] = []
     seen = set()
-    for vec in _ring_run(rows, rank, ring, tagged=True).syzygies:
+    for vec in _ring_run(rows, rank, ring, base).syzygies:
         row = tuple(nf_poly(p, ring) for p in _vec_to_row(vec, t, ring.variables))
         key = tuple(tuple(sorted(p.terms.items())) for p in row)
         if key in seen or all(p.is_zero() for p in row):
@@ -505,7 +514,7 @@ def row_lead_key(row: FreeElement, ring: RingSpec):
     lead, since rows with small leads generate the shifted multiples
     that follow them.
     """
-    vec = _row_to_vec(tuple(row))
+    vec = _row_to_vec(row)
     if not vec:
         return (float("-inf"), ())
     order = ring.order()
@@ -525,7 +534,7 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     of span(kept + base) + I*P^rank; a zero remainder means membership,
     otherwise the remainder joins the run and the row itself is kept.
     """
-    run = _ring_run(base, rank, ring, tagged=False)
+    run = _ring_run((), rank, ring, base)
     kept: List[FreeElement] = []
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
@@ -548,29 +557,19 @@ class NoSolution:
     residual: FreeElement
 
 
-def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
-                 ring: RingSpec):
-    """Particular solution of A*x = b over R = P/I, or NoSolution.
+def solve_linear(columns: Sequence[FreeElement], b: FreeElement,
+                 ring: RingSpec, base: Sequence[FreeElement] = ()):
+    """Particular solution x of sum_j x_j * columns[j] = b modulo
+    span(base) + I*R^len(b), or NoSolution.
 
-    A is given by rows; a solution satisfies A*x - b in I * R^rows.  b is
-    reduced against the tagged run on the columns of A and the ideal
-    multiples of the unit vectors.  A remainder with terms below position
-    nrows is the normal form of b, which NoSolution carries as certificate;
+    The columns and `base` are free elements of R^len(b).  b is reduced
+    against the run in which the columns carry tags and `base` and the
+    ideal rows do not.  A remainder with terms below position len(b) is
+    the normal form of b, which NoSolution carries as certificate;
     otherwise the remainder is all tags, and the column tags read -x.
     """
-    rows = [list(r) for r in A]
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    if len(b) != len(rows):
-        raise ValueError("dimension mismatch between A and b")
-    nrows = len(rows)
-    columns: List[FreeElement] = []
-    for j in range(ncols):
-        columns.append(tuple(rows[i][j] for i in range(nrows)))
-    run = _ring_run(columns, nrows, ring, tagged=True)
+    nrows = len(b)
+    run = _ring_run(columns, nrows, ring, base)
     remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), run.elements,
                            run.by_pos, ring.order())
     _vec_divide(remainder, m)
@@ -578,8 +577,8 @@ def solve_linear(A: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial],
     if not all(p.is_zero() for p in residual):
         return NoSolution(residual)
     tags = {(pos - nrows, exps): c for (pos, exps), c in remainder.items()}
-    return Solution(tuple(nf_poly(-p, ring)
-                          for p in _vec_to_row(tags, ncols, ring.variables)))
+    x = _vec_to_row(tags, len(columns), ring.variables)
+    return Solution(tuple(nf_poly(-p, ring) for p in x))
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +592,8 @@ def krull_dimension(ring: RingSpec) -> int:
     variable subset S such that no Groebner leading monomial is supported
     inside S.  Returns -1 for the zero ring (1 in the ideal).
     """
-    supports = []
-    order = ring.order()
-    for vec in ring_groebner(ring).groebner:
-        (_, exps) = _lead(vec, order)
-        supports.append(frozenset(i for i, e in enumerate(exps) if e))
+    supports = [frozenset(i for i, e in enumerate(exps) if e)
+                for exps in ring_groebner(ring)._leads.get(0, ())]
     s = len(ring.variables)
     for size in range(s, -1, -1):
         for subset in combinations(range(s), size):

@@ -65,9 +65,7 @@ class RingSpec:
     homogeneous: bool
 
     def order(self) -> MonomialOrder:
-        if self.weights is not None:
-            return MonomialOrder("weighted", self.weights)
-        return MonomialOrder("degrevlex")
+        return MonomialOrder(self.weights)
 
     def is_domain(self) -> bool:
         # A polynomial ring (empty ideal) over Q is always a domain.

@@ -8,11 +8,11 @@ Everything downstream (Groebner bases, module presentations, differential
 expansions) is built on four things provided here:
 
 * exact ring arithmetic in canonical form,
-* total monomial orders (lex, degree-reverse-lex, weighted variant),
-* iterated partial derivatives and exact Taylor coefficients h^(gamma)/gamma!,
-* the truncated shift h |-> h(x+u) - h(x) with all u-degrees > q deleted,
-  which is the coordinate form of 1 (x) h - h (x) 1 modulo the (q+1)-st
-  power of the diagonal ideal.
+* graded reverse-lex monomial orders, by total or weighted degree,
+* iterated partial derivatives,
+* the Taylor components d^gamma h / gamma! of h(x+u) - h(x) with all
+  u-degrees > q deleted, which is the coordinate form of 1 (x) h - h (x) 1
+  modulo the (q+1)-st power of the diagonal ideal.
 
 The canonical text rendering (descending terms under the active order,
 explicit ``*`` and ``^``, e.g. ``-3*x^2*y + 2*y``) is the interchange
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, perm
-from operator import add, le, sub
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 ExpVec = Tuple[int, ...]
@@ -33,8 +33,6 @@ Coeff = Union[int, Fraction]
 # Exponents are checked, not silently wrapped: anything this large is a bug
 # in the caller, never a legitimate desk-scale computation.
 EXPONENT_LIMIT = 10 ** 9
-
-_ORDER_KINDS = ("lex", "degrevlex", "weighted")
 
 # Entries an order keeps in its low-key memo before it starts the memo afresh,
 # so a long-lived order (a cached ring basis) stays bounded.
@@ -57,18 +55,15 @@ def _check_exponents(exps: ExpVec) -> None:
 
 
 class MonomialOrder:
-    """A total order on exponent vectors, compatible with multiplication.
+    """The graded reverse-lex order of a weight vector, compatible with
+    multiplication.
 
-    Kinds:
-
-    * ``lex`` -- plain lexicographic, first listed variable most significant.
-    * ``degrevlex`` -- total degree first; degree ties broken
-      reverse-lexicographically reading exponent differences from the first
-      listed variable: among monomials of equal degree, the one with the
-      smaller exponent on the earliest differing variable is the larger.
-      (With variables [x, y] this makes y^2 > x*y > x^2.)
-    * ``weighted`` -- same tie-break, but degree is the weighted degree
-      sum(w_i * e_i) for declared positive weights.
+    Degree is the weighted degree sum(w_i * e_i) for positive weights, or
+    the total degree when no weights are given (every weight 1).  Degree
+    ties are broken reverse-lexicographically reading exponent differences
+    from the first listed variable: among monomials of equal degree, the
+    one with the smaller exponent on the earliest differing variable is the
+    larger.  (With variables [x, y] this makes y^2 > x*y > x^2.)
 
     ``key`` maps an exponent vector to a tuple that sorts in order
     (bigger key = bigger monomial), so it can be fed straight to ``sorted``.
@@ -77,44 +72,31 @@ class MonomialOrder:
     instance, up to ``KEY_MEMO_LIMIT`` entries.
     """
 
-    __slots__ = ("kind", "weights", "_low_keys")
+    __slots__ = ("weights", "_low_keys")
 
-    def __init__(self, kind: str = "degrevlex", weights: Optional[Sequence[int]] = None):
-        if kind not in _ORDER_KINDS:
-            raise ValueError("unknown order kind %r" % kind)
-        if kind == "weighted":
-            if not weights:
-                raise ValueError("weighted order requires weights")
+    def __init__(self, weights: Optional[Sequence[int]] = None):
+        if weights is not None:
             if any(w < 1 for w in weights):
                 raise ValueError("weights must be >= 1")
-            self.weights = tuple(int(w) for w in weights)
-        else:
-            if weights is not None:
-                raise ValueError("weights only apply to the weighted kind")
-            self.weights = None
-        self.kind = kind
+            weights = tuple(int(w) for w in weights)
+        self.weights = weights
         self._low_keys: Dict[ExpVec, tuple] = {}
 
     def degree(self, exps: ExpVec) -> int:
-        if self.kind == "weighted":
-            return sum(w * e for w, e in zip(self.weights, exps))
-        return sum(exps)
+        if self.weights is None:
+            return sum(exps)
+        return sum(w * e for w, e in zip(self.weights, exps))
 
     def key(self, exps: ExpVec):
-        if self.kind == "lex":
-            return tuple(exps)
         return (self.degree(exps), tuple(-e for e in exps))
 
     def low_key(self, exps: ExpVec):
-        """``(-degree, exps)``, or ``-exps`` for lex: sorts in reverse order."""
+        """``(-degree, exps)``: sorts in reverse order."""
         k = self._low_keys.get(exps)
         if k is None:
             if len(self._low_keys) >= KEY_MEMO_LIMIT:
                 self._low_keys.clear()
-            if self.kind == "lex":
-                k = tuple(-e for e in exps)
-            else:
-                k = (-self.degree(exps), exps)
+            k = (-self.degree(exps), exps)
             self._low_keys[exps] = k
         return k
 
@@ -122,23 +104,15 @@ class MonomialOrder:
         """Terms of ``poly`` in descending order (leading term first)."""
         return sorted(poly.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
 
-    def leading_term(self, poly: "Polynomial") -> Tuple[ExpVec, Coeff]:
-        if poly.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(poly.terms, key=self.key)
-        return exps, poly.terms[exps]
-
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.weights == other.weights)
+                and self.weights == other.weights)
 
     def __hash__(self):
-        return hash((self.kind, self.weights))
+        return hash(self.weights)
 
     def __repr__(self):
-        if self.weights is None:
-            return "MonomialOrder(%r)" % self.kind
-        return "MonomialOrder(%r, weights=%r)" % (self.kind, self.weights)
+        return "MonomialOrder(weights=%r)" % (self.weights,)
 
 
 def _coefficient(value) -> Coeff:
@@ -366,29 +340,15 @@ def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynom
     return _trusted(h.variables, out)
 
 
-def taylor_coefficient(h: Polynomial, gamma: ExpVec) -> Polynomial:
-    """The exact Taylor coefficient d^gamma h / gamma! as a polynomial.
-
-    Distinct terms of h keep distinct monomials, and each multiplier is a
-    positive product of binomials, so nothing cancels."""
-    out: Dict[ExpVec, Coeff] = {}
-    for exps, coeff in h.terms.items():
-        if all(map(le, gamma, exps)):
-            mult = 1
-            for e, g in zip(exps, gamma):
-                mult *= comb(e, g)
-            out[tuple(map(sub, exps, gamma))] = coeff * mult
-    return _trusted(h.variables, out)
-
-
 def shift_components(h: Polynomial, q: int,
                      include_constant: bool = False) -> Dict[ExpVec, Polynomial]:
     """Taylor components of h(x+u) truncated past u-degree q.
 
     Returns {gamma: d^gamma h / gamma!} for 0 < |gamma| <= q (the constant
     component gamma = 0, equal to h itself, is included when asked for).
-    This is the exact coefficient table of h(x+u) - h(x) mod (u)^(q+1); as
-    in `taylor_coefficient`, no two terms of h meet in one component.
+    This is the exact coefficient table of h(x+u) - h(x) mod (u)^(q+1).
+    Distinct terms of h keep distinct monomials in a component, and each
+    multiplier is a positive product of binomials, so nothing cancels.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -423,19 +383,6 @@ def doubled_variables(variables: Sequence[str]) -> Tuple[str, ...]:
     return tuple(variables) + tuple(fresh)
 
 
-def truncated_shift(h: Polynomial, q: int) -> Polynomial:
-    """h(x+u) - h(x) in the doubled variable list, u-degree capped at q.
-
-    Equals sum over 0 < |beta| <= q of (d^beta h / beta!) * u^beta; the
-    u-variables are fresh names appended after the original variables.
-    """
-    terms: Dict[ExpVec, Coeff] = {}
-    for gamma, poly in shift_components(h, q).items():
-        for exps, coeff in poly.terms.items():
-            terms[exps + gamma] = coeff
-    return _trusted(doubled_variables(h.variables), terms)
-
-
 def monomial_text(exps: ExpVec, variables: Sequence[str]) -> str:
     """Render x^alpha ('1' for the empty monomial), explicit * and ^."""
     parts = []
@@ -451,7 +398,7 @@ def format_polynomial(p: Polynomial, order: Optional[MonomialOrder] = None) -> s
     if p.is_zero():
         return "0"
     if order is None:
-        order = MonomialOrder("degrevlex")
+        order = MonomialOrder()
     pieces: List[str] = []
     for exps, coeff in order.sort_terms(p):
         mono = monomial_text(exps, p.variables)

@@ -176,29 +176,24 @@ def is_zero_map(f: ModuleMap) -> bool:
 def kernel(f: ModuleMap) -> Tuple[Presentation, ModuleMap]:
     """Kernel presentation and its inclusion into the source.
 
-    Kernel generators are syzygies of the map columns against the target
-    relations, projected onto the column block; kernel relations come from a
-    second syzygy run inside the source module.
+    Kernel generators are the syzygies of the map columns modulo the target
+    relations; kernel relations are the syzygies of those generators
+    modulo the source relations.  Into a target with no generators every
+    column is all tag, so the generators are the source's unit rows.
     """
     src, tgt, ring = f.source, f.target, f.source.ring
     ncols = src.ngens
     if ncols == 0:
         k = zero_presentation(ring)
         return k, zero_map(k, src)
-    if tgt.ngens == 0:
-        raw = [src.unit_row(i) for i in range(ncols)]
-    else:
-        items = list(f.columns) + list(tgt.relations)
-        syz = syzygies_over_ring(items, tgt.ngens, ring)
-        raw = [row[:ncols] for row in syz]
+    raw = syzygies_over_ring(f.columns, tgt.ngens, ring, tgt.relations)
     gens = prune_rows(raw, ncols, ring, base=src.relations)
     labels = tuple(PlainLabel("k%d" % i) for i in range(len(gens)))
     if not gens:
         k = Presentation(ring, (), (), ())
         return k, zero_map(k, src)
-    rel_items = list(gens) + list(src.relations)
-    syz2 = syzygies_over_ring(rel_items, ncols, ring)
-    rels = prune_rows([row[:len(gens)] for row in syz2], len(gens), ring)
+    syz2 = syzygies_over_ring(gens, ncols, ring, src.relations)
+    rels = prune_rows(syz2, len(gens), ring)
     k = Presentation(ring, labels, tuple(rels))
     return k, ModuleMap(k, src, tuple(gens))
 
@@ -334,9 +329,8 @@ def rank(m: Presentation) -> int:
     return m.ngens - _matrix_rank(m.relations, m.ring)
 
 
-def _clear_column(rows: Sequence[List[Polynomial]],
-                  pivot: Sequence[Polynomial], b: int,
-                  ring: RingSpec) -> List[List[Polynomial]]:
+def _clear_column(rows: Sequence[FreeElement], pivot: FreeElement, b: int,
+                  ring: RingSpec) -> List[FreeElement]:
     """One fraction-free elimination step against `pivot`, p = pivot[b].
 
     Every row with a nonzero entry c in column b becomes p*row - c*pivot,
@@ -347,7 +341,8 @@ def _clear_column(rows: Sequence[List[Polynomial]],
     for row in rows:
         c = row[b]
         if not c.is_zero():
-            row = [nf_poly(p * x - c * y, ring) for x, y in zip(row, pivot)]
+            row = tuple(nf_poly(p * x - c * y, ring)
+                        for x, y in zip(row, pivot))
         row = row[:b] + row[b + 1:]
         if any(not x.is_zero() for x in row):
             out.append(row)
@@ -362,7 +357,7 @@ def _matrix_rank(rows: Sequence[Sequence[Polynomial]], ring: RingSpec) -> int:
     invertible over Frac(R); entries are kept reduced modulo I, so the zero
     test is exact.  The rank is the number of pivots.
     """
-    rows = [[nf_poly(x, ring) for x in r] for r in rows]
+    rows = [tuple(nf_poly(x, ring) for x in r) for r in rows]
     rows = [r for r in rows if any(not x.is_zero() for x in r)]
     count = 0
     while rows:

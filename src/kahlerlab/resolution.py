@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Coeff, Polynomial, partial_derivative
 from .parser import RingSpec
-from .groebner import (groebner_basis, krull_dimension, nf_poly, prune_rows,
-                       row_lead_key, syzygies_over_ring)
+from .groebner import (FreeElement, groebner_basis, krull_dimension, nf_poly,
+                       prune_rows, row_lead_key, syzygies_over_ring)
 from .presentations import Presentation, _clear_column, _row_degrees
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
@@ -76,8 +76,8 @@ def _scalar(p: Polynomial) -> Optional[Coeff]:
     return coeff
 
 
-def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
-                ring: RingSpec) -> Tuple[List[List[Polynomial]], list]:
+def _sweep_pair(upper: Sequence[FreeElement], lower: Sequence,
+                ring: RingSpec) -> Tuple[List[FreeElement], list]:
     """Scalar-pivot elimination between consecutive levels of a chain.
 
     `lower` is any sequence indexed parallel to `upper`'s columns (step
@@ -87,7 +87,7 @@ def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
     (presentations._clear_column, which also drops column b and the zero
     rows), then row a and entry b of `lower` are dropped.
     """
-    upper = [list(r) for r in upper]
+    upper = list(upper)
     lower = list(lower)
     while True:
         hit = next(((a, b) for a, row in enumerate(upper)
@@ -98,13 +98,13 @@ def _sweep_pair(upper: Sequence[Sequence[Polynomial]], lower: Sequence,
         a, b = hit
         pivot = upper.pop(a)
         pv = _scalar(pivot[b])
-        unit = [y.scale(Fraction(1) / pv) for y in pivot]
+        unit = tuple(y.scale(Fraction(1) / pv) for y in pivot)
         upper = _clear_column(upper, unit, b, ring)
         del lower[b]
 
 
-def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
-           sweep: bool) -> Tuple[List[List[List[Polynomial]]], bool]:
+def _chain(rows: Sequence[FreeElement], ring: RingSpec, cutoff: int,
+           sweep: bool) -> Tuple[List[List[FreeElement]], bool]:
     """Iterated syzygies of a relation matrix, at most `cutoff` steps.
 
     Each syzygy set is pruned to a generating set before the next step;
@@ -112,18 +112,16 @@ def _chain(rows: Sequence[Sequence[Polynomial]], ring: RingSpec, cutoff: int,
     so without pruning the ranks (and the running time) grow
     multiplicatively.
     """
-    steps: List[List[List[Polynomial]]] = []
-    current = [list(r) for r in rows]
+    steps: List[List[FreeElement]] = []
+    current = list(rows)
     while current and len(steps) < cutoff:
         steps.append(current)
-        nxt = [list(r) for r in syzygies_over_ring(
-            [tuple(r) for r in current], len(current[0]), ring)]
+        nxt = syzygies_over_ring(current, len(current[0]), ring)
         if sweep and nxt:
             nxt, steps[-1] = _sweep_pair(nxt, steps[-1], ring)
         if nxt:
-            nxt.sort(key=lambda r: row_lead_key(tuple(r), ring))
-            nxt = [list(r) for r in prune_rows(
-                [tuple(r) for r in nxt], len(steps[-1]), ring)]
+            nxt.sort(key=lambda r: row_lead_key(r, ring))
+            nxt = prune_rows(nxt, len(steps[-1]), ring)
         current = nxt
     return steps, not current
 
@@ -140,7 +138,7 @@ def _graded_chain(m: Presentation, steps) -> bool:
 def _report(m: Presentation, steps, terminated: bool,
             cutoff: int) -> ResolutionReport:
     betti = (m.ngens,) + tuple(len(s) for s in steps)
-    frozen = tuple(tuple(tuple(row) for row in s) for s in steps)
+    frozen = tuple(tuple(s) for s in steps)
     return ResolutionReport(m, frozen, betti, terminated, cutoff,
                             _graded_chain(m, steps))
 
@@ -165,7 +163,7 @@ def minimal_presentation(m: Presentation) -> Presentation:
     rows, keep = _sweep_pair(m.relations, range(m.ngens), m.ring)
     gens = tuple(m.generators[i] for i in keep)
     degrees = None if m.degrees is None else tuple(m.degrees[i] for i in keep)
-    rows = prune_rows([tuple(r) for r in rows], len(gens), m.ring)
+    rows = prune_rows(rows, len(gens), m.ring)
     return Presentation(m.ring, gens, tuple(rows), degrees)
 
 

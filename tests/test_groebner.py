@@ -28,7 +28,7 @@ from kahlerlab.groebner import (
     syzygies_over_ring,
 )
 from kahlerlab.parser import make_ringspec, parse_poly, parse_ringspec
-from kahlerlab.poly import MonomialOrder, Polynomial
+from kahlerlab.poly import Polynomial
 from kahlerlab.presentations import relation_basis
 
 CUSP = parse_ringspec(
@@ -168,9 +168,8 @@ def test_prune_rows_matches_rebuild_on_omega_rows(ring, q):
 
 def test_prune_rows_matches_rebuild_on_kernel_rows_with_base():
     theta = theta_to_first(CUSP, 2)
-    items = list(theta.columns) + list(theta.target.relations)
-    raw = [row[:theta.source.ngens]
-           for row in syzygies_over_ring(items, theta.target.ngens, CUSP)]
+    raw = syzygies_over_ring(theta.columns, theta.target.ngens, CUSP,
+                             base=theta.target.relations)
     base = theta.source.relations
     kept = prune_rows(raw, theta.source.ngens, CUSP, base=base)
     assert kept == _rebuild_prune(raw, theta.source.ngens, CUSP, base=base)
@@ -182,7 +181,7 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     rank = len(db.monomials)
     seeds = _ideal_unit_rows(rank, EX316)
     run = _buchberger([_row_to_vec(r) for r in seeds], EX316.order(), rank,
-                      tagged=False, nvars=len(EX316.variables))
+                      0, nvars=len(EX316.variables))
     rows = _omega_rows(EX316, 2, db)
     absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
     assert absorbed[0] and not absorbed[-1]
@@ -252,18 +251,22 @@ def _ref_primitive(vec, expr, order):
 
 
 class _RefRun:
-    """A completed rational Buchberger run with the engine's pair order."""
+    """A completed rational Buchberger run with the engine's pair order;
+    the first `ntracked` inputs carry tracked expressions."""
 
-    def __init__(self, inputs, order, rank, track):
-        self.order, self.rank, self.track = order, rank, track
+    def __init__(self, inputs, order, rank, ntracked):
+        self.order, self.rank = order, rank
+        self.track = ntracked > 0
         self.elements = []
         self.pairs = []
         self.syzygies = []
         zero = (0,) * next(len(e) for vec in inputs for (_, e) in vec)
         for i, vec in enumerate(inputs):
-            expr = {(i, zero): Fraction(1)} if track else None
+            expr = None
+            if self.track:
+                expr = {(i, zero): Fraction(1)} if i < ntracked else {}
             if not vec:
-                if track:
+                if expr:
                     self.syzygies.append(expr)
                 continue
             self.add(dict(vec), expr)
@@ -273,7 +276,7 @@ class _RefRun:
             top = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
             si = tuple(a - b for a, b in zip(top, li[1]))
             sj = tuple(a - b for a, b in zip(top, lj[1]))
-            vec, expr = {}, ({} if track else None)
+            vec, expr = {}, ({} if self.track else None)
             for part, src_i, src_j in ((vec, vi, vj), (expr, ei, ej)):
                 if part is not None:
                     _ref_submul(part, -vj[lj], si, src_i)
@@ -281,7 +284,7 @@ class _RefRun:
             remainder = _ref_reduce(vec, expr, self.elements, order)
             if remainder:
                 self.add(remainder, expr)
-            elif track and expr:
+            elif expr:
                 _ref_primitive(expr, None, order)
                 self.syzygies.append(expr)
 
@@ -323,7 +326,7 @@ def _ref_ring_nf(poly, ring):
     if not ring.ideal:
         return poly
     run = _RefRun([_row_to_vec((f,)) for f in ring.ideal], ring.order(), 1,
-                  track=False)
+                  ntracked=0)
     rem = _ref_reduce(_row_to_vec((poly,)), None, run.elements, ring.order())
     return _vec_to_row(rem, 1, ring.variables)[0]
 
@@ -342,15 +345,14 @@ def _ref_syzygy_rows(raw, t, ring):
     return rows
 
 
-def _ref_solve(A, b, ring):
-    columns = [tuple(row[j] for row in A) for j in range(len(A[0]))]
-    items = columns + _ideal_unit_rows(len(A), ring)
-    run = _RefRun([_row_to_vec(r) for r in items], ring.order(), len(A),
-                  track=True)
+def _ref_solve(columns, b, ring):
+    items = list(columns) + _ideal_unit_rows(len(b), ring)
+    run = _RefRun([_row_to_vec(r) for r in items], ring.order(), len(b),
+                  ntracked=len(columns))
     acc = {}
     rem = _ref_reduce(_row_to_vec(tuple(b)), acc, run.elements, ring.order())
     if rem:
-        return NoSolution(_vec_to_row(rem, len(A), ring.variables))
+        return NoSolution(_vec_to_row(rem, len(b), ring.variables))
     tracked = _vec_to_row(acc, len(columns), ring.variables)
     return Solution(tuple(_ref_ring_nf(-e, ring) for e in tracked))
 
@@ -446,16 +448,16 @@ def test_engine_matches_the_rational_reference(ring):
     fraction-free engine keeps the same working elements (in a tagged run,
     up to a positive scale, since the tags share the primitive scaling),
     syzygies, reduced basis, normal forms and solutions as the rational
-    reference engine with expression tracking.  Tagged runs stay in int
-    arithmetic throughout."""
+    reference engine with expression tracking on the rows alone.  Tagged
+    runs stay in int arithmetic throughout."""
     rng = random.Random(8200 + len(ring.ideal))
     order = ring.order()
     solved = 0
     for _ in range(3):
         rows = _random_rows(rng, ring, 3, 2)
         items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
-        tracked = _RefRun(items, order, 2, track=True)
-        run = _ring_run(rows, 2, ring, tagged=True)
+        tracked = _RefRun(items, order, 2, ntracked=len(rows))
+        run = _ring_run(rows, 2, ring)
         assert len(run.elements) == len(tracked.elements)
         for e, (vec, expr, lead) in zip(run.elements, tracked.elements):
             assert _is_positive_multiple(e.vec, _with_tags(vec, expr, 2))
@@ -467,8 +469,8 @@ def test_engine_matches_the_rational_reference(ring):
         assert (syzygies_over_ring(rows, 2, ring)
                 == _ref_syzygy_rows(tracked.syzygies, len(rows), ring))
 
-        plain = _RefRun(items, order, 2, track=False)
-        untagged = _ring_run(rows, 2, ring, tagged=False)
+        plain = _RefRun(items, order, 2, ntracked=0)
+        untagged = _ring_run((), 2, ring, base=rows)
         assert [e.vec for e in untagged.elements] == [e[0] for e in plain.elements]
         basis = submodule_over_ring(rows, 2, ring)
         assert basis.groebner == plain.reduced_basis()
@@ -476,30 +478,62 @@ def test_engine_matches_the_rational_reference(ring):
             row = tuple(_small_entry(rng, ring) for _ in range(2))
             assert basis.normal_form(row) == _ref_normal_form(plain, row)
 
-        A = [[row[i] for row in rows] for i in range(2)]
         for _ in range(3):
             b = tuple(_small_entry(rng, ring) for _ in range(2))
             if rng.random() < 0.5:
                 for row in rows:
                     c = _small_entry(rng, ring)
                     b = tuple(x + c * y for x, y in zip(b, row))
-            got = solve_linear(A, b, ring)
-            assert got == _ref_solve(A, b, ring)
+            got = solve_linear(rows, b, ring)
+            assert got == _ref_solve(rows, b, ring)
             solved += isinstance(got, Solution)
     assert 0 < solved < 9
 
 
-def test_engine_matches_the_rational_reference_under_lex():
-    lex = MonomialOrder("lex")
-    rng = random.Random(8300)
+def _monomial_rows(rng, ring, count, rank):
+    """Nonzero rows whose entries are 0 or +-x^a with exponents below 3.
+    Two-term rational entries give syzygy modules over ex316 whose
+    Groebner basis, needed for the containment check, takes 10-35 s."""
+    rows = []
+    while len(rows) < count:
+        row = tuple(Polynomial(ring.variables, {
+            tuple(rng.randrange(3) for _ in ring.variables): rng.choice((-1, 1))
+            for _ in range(rng.randrange(2))}) for _ in range(rank))
+        if not all(e.is_zero() for e in row):
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
+                         ids=["plane", "cusp", "ex316"])
+def test_base_agrees_with_appended_inputs_cut_off(ring):
+    """Working modulo span(base) agrees with appending the base rows as
+    tagged inputs and cutting their coefficients off: the syzygies
+    generate the same submodule, and the solutions are equal."""
+    rng = random.Random(8500 + len(ring.ideal))
+    solved = 0
     for _ in range(3):
-        rows = _random_rows(rng, PLANE, 3, 2)
-        basis = SubmoduleBasis(rows, lex)
-        ref = _RefRun([_row_to_vec(r) for r in rows], lex, 2, track=False)
-        assert basis.groebner == ref.reduced_basis()
-        for _ in range(6):
-            row = tuple(_small_entry(rng, PLANE) for _ in range(2))
-            assert basis.normal_form(row) == _ref_normal_form(ref, row)
+        rows = _monomial_rows(rng, ring, 3, 2)
+        base = _monomial_rows(rng, ring, 2, 2)
+        t = len(rows)
+        got = syzygies_over_ring(rows, 2, ring, base)
+        cut = [s[:t] for s in syzygies_over_ring(rows + base, 2, ring)]
+        for gens, others in ((got, cut), (cut, got)):
+            span = submodule_over_ring(gens, t, ring)
+            assert all(span.contains(s) for s in others)
+        for _ in range(3):
+            b = _monomial_rows(rng, ring, 1, 2)[0]
+            if rng.random() < 0.5:
+                for row in rows + base:
+                    c = _monomial_rows(rng, ring, 1, 1)[0][0]
+                    b = tuple(x + c * y for x, y in zip(b, row))
+            out = solve_linear(rows, b, ring, base)
+            old = solve_linear(rows + base, b, ring)
+            if isinstance(old, Solution):
+                old = Solution(old.column[:t])
+            assert out == old
+            solved += isinstance(out, Solution)
+    assert 0 < solved < 9
 
 
 @pytest.mark.parametrize("ring", [CUSP, EX316], ids=["cusp", "ex316"])
@@ -518,7 +552,7 @@ def test_normal_form_shortcut_matches_the_reference(ring):
 
 
 def test_solve_linear_polynomial_identity():
-    sol = solve_linear([[p("x"), p("y")]], [p("x^2 + y^2")], PLANE)
+    sol = solve_linear([(p("x"),), (p("y"),)], [p("x^2 + y^2")], PLANE)
     assert isinstance(sol, Solution)
     a, b = sol.column
     assert (a * p("x") + b * p("y") - p("x^2 + y^2")).is_zero()
@@ -526,26 +560,26 @@ def test_solve_linear_polynomial_identity():
 
 def test_solve_linear_uses_the_ideal():
     # x * a = y^2 has the solution a = x^2 because y^2 = x^3 in the cusp ring
-    sol = solve_linear([[p("x", CUSP)]], [p("y^2", CUSP)], CUSP)
+    sol = solve_linear([(p("x", CUSP),)], [p("y^2", CUSP)], CUSP)
     assert isinstance(sol, Solution)
     residue = nf_poly(sol.column[0] * p("x", CUSP) - p("y^2", CUSP), CUSP)
     assert residue.is_zero()
 
 
 def test_solve_linear_reports_no_solution():
-    out = solve_linear([[p("x")]], [p("y")], PLANE)
+    out = solve_linear([(p("x"),)], [p("y")], PLANE)
     assert isinstance(out, NoSolution)
     assert not out.residual[0].is_zero()
 
 
 def test_solve_linear_multiple_rows():
-    A = [[p("x"), p("0")], [p("0"), p("y")], [p("1"), p("1")]]
+    columns = [(p("x"), p("0"), p("1")), (p("0"), p("y"), p("1"))]
     b = [p("x^2"), p("y^2"), p("x + y")]
-    sol = solve_linear(A, b, PLANE)
+    sol = solve_linear(columns, b, PLANE)
     assert isinstance(sol, Solution)
-    for row, rhs in zip(A, b):
-        acc = row[0] * sol.column[0] + row[1] * sol.column[1] - rhs
-        assert acc.is_zero()
+    for i, rhs in enumerate(b):
+        acc = columns[0][i] * sol.column[0] + columns[1][i] * sol.column[1]
+        assert (acc - rhs).is_zero()
 
 
 @pytest.mark.parametrize("ring", [PLANE, CUSP], ids=["plane", "cusp"])
@@ -559,15 +593,15 @@ def test_zero_rows_and_columns_are_tag_only_inputs(ring):
     for s in syz:
         assert nf_poly(s[0] * x + s[2] * y, ring).is_zero()
 
-    A = [[x, zero, y], [zero, zero, zero]]
+    columns = [(x, zero), (zero, zero), (y, zero)]
     b = [x * x + y * y, zero]
-    sol = solve_linear(A, b, ring)
+    sol = solve_linear(columns, b, ring)
     assert isinstance(sol, Solution)
     assert sol.column[1].is_zero()
-    for row, rhs in zip(A, b):
-        combo = sum((a * c for a, c in zip(row, sol.column)), -rhs)
+    for i, rhs in enumerate(b):
+        combo = sum((col[i] * c for col, c in zip(columns, sol.column)), -rhs)
         assert nf_poly(combo, ring).is_zero()
-    out = solve_linear(A, [x, one], ring)
+    out = solve_linear(columns, [x, one], ring)
     assert out == NoSolution((zero, one))
 
 

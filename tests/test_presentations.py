@@ -93,6 +93,16 @@ def test_kernel_of_injective_map_is_zero():
     assert k.ngens == 0
 
 
+def test_kernel_into_the_zero_module_is_the_whole_source():
+    # a column of rank 0 is all tag, so it comes back as its unit syzygy
+    x, zero = p("x", CUSP), p("0", CUSP)
+    m = Presentation(CUSP, gens("a", "b"), ((x, zero),))
+    k, incl = kernel(zero_map(m, zero_presentation(CUSP)))
+    assert incl.columns == (m.unit_row(0), m.unit_row(1))
+    assert element_is_zero(k, (x, zero))
+    assert all(element_is_zero(m, row) for row in k.relations)
+
+
 def test_cokernel_and_zero_detection():
     src = free_presentation(PLANE, gens("a", "b"))
     tgt = free_presentation(PLANE, gens("u", "v"))
