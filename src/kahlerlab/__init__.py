@@ -17,7 +17,6 @@ from .parser import (
 from .groebner import (
     NoSolution,
     Solution,
-    groebner_basis,
     krull_dimension,
     nf_poly,
     solve_linear,

@@ -35,20 +35,25 @@ zero, a new working element or recorded.  That needs the S-pair relations
 of every pair, so a run with tags skips none.
 
 Submodules over a quotient ring R = P/I are handled by the augmentation
-convention: add f*e_k for every ideal generator f and unit vector e_k,
-compute over P, and project/reduce afterwards.  `_ring_run` assembles and
-completes that augmented run for `syzygies_over_ring`, `prune_rows` and
-`solve_linear`, each of which works modulo span(base) + I*P^rank for a
-`base` of untagged rows; `submodule_over_ring` wraps the same list in a
-`SubmoduleBasis`.
+convention (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 5 sec. 2):
+add f*e_k for every ideal generator f and unit vector e_k, compute over
+P, and project/reduce afterwards.  `_ring_run` is the only code that fills
+a run: it enters the tagged rows, then a `base` of untagged rows, then
+I*P^rank, and `_as_row` checks every row on the way in, its length and its
+variable list.  `syzygies_over_ring`, `prune_rows` and `solve_linear` work
+modulo span(base) + I*P^rank; a `SubmoduleBasis` is the untagged run with
+its rows as `base`, and every basis, the ring's own `ring_groebner`
+included, is built over a ring.
 
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of `solve_linear`; `_BuchbergerRun` is
-the one pair loop, completed in one go by `_buchberger` and resumed row by
-row by `prune_rows`; `syzygies_over_ring` is the one syzygy routine, over
-a ring with or without an ideal; `prune_rows` is the greedy pruner of
-every presentation, kernels included; a `SubmoduleBasis` answers
-`normal_form` and `contains` from its completed run.
+the one pair loop, completed by `_ring_run` and resumed row by row by
+`prune_rows`; `_minimal` picks the minimal leads; `syzygies_over_ring` is
+the one syzygy routine, over a ring with or without an ideal;
+`prune_rows` is the greedy pruner of every presentation, kernels
+included; a `SubmoduleBasis` answers `normal_form` and `contains` from its
+completed run, built on the first query, and `nf_poly` is its rank-1 case
+for one polynomial modulo I.
 """
 
 from __future__ import annotations
@@ -252,19 +257,18 @@ class _BuchbergerRun:
         return bool(remainder)
 
 
-def _buchberger(inputs: List[Vec], order: MonomialOrder, rank: int,
-                ntags: int, nvars: int) -> _BuchbergerRun:
-    """Fill a run with the inputs over nvars variables, the first ntags of
-    them tagged, and complete it."""
-    run = _BuchbergerRun(order, rank, tagged=ntags > 0)
-    for i, vec in enumerate(inputs):
-        vec = dict(vec)
-        if i < ntags:
-            vec[(rank + i, (0,) * nvars)] = 1
-        if vec:
-            run.add(vec)
-    run.complete()
-    return run
+def _minimal(elements: List[_Elt]) -> List[_Elt]:
+    """The first element with each minimal lead, in (position, degree)
+    order: a lead's proper divisors have lower degree, so they come first."""
+    out: List[_Elt] = []
+    leads: Dict[int, List[ExpVec]] = {}
+    for e in sorted(elements, key=lambda e: (e.lead[0], sum(e.lead[1]))):
+        pos, exps = e.lead
+        kept = leads.setdefault(pos, [])
+        if not any(_divides(k, exps) for k in kept):
+            kept.append(exps)
+            out.append(e)
+    return out
 
 
 def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
@@ -273,20 +277,8 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
     Each tail is reduced against the whole minimal set: its terms, and all
     terms the reduction brings in, are smaller than the element's own lead,
     so that lead never divides one of them."""
-    keep: List[int] = []
-    for i, e in enumerate(elements):
-        redundant = False
-        for j, f in enumerate(elements):
-            if i == j or f.lead[0] != e.lead[0]:
-                continue
-            if _divides(f.lead[1], e.lead[1]) and (
-                    f.lead[1] != e.lead[1] or j in keep):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    minimal = [elements[i] for i in keep]
-    minimal.sort(key=lambda e: _low_term_key(e.lead, order))
+    minimal = sorted(_minimal(elements),
+                     key=lambda e: _low_term_key(e.lead, order))
     by_pos: Dict[int, List[int]] = {}
     for j, f in enumerate(minimal):
         by_pos.setdefault(f.lead[0], []).append(j)
@@ -306,13 +298,17 @@ def _reduced_basis(elements: List[_Elt], order: MonomialOrder) -> List[Vec]:
 # public element conversions
 
 
-def _as_row(value, rank: Optional[int] = None) -> FreeElement:
-    if isinstance(value, Polynomial):
-        return (value,)
+def _as_row(value: Sequence[Polynomial], rank: int,
+            ring: RingSpec) -> FreeElement:
+    """value as a row of P^rank; every row entering the engine passes here."""
     row = tuple(value)
-    if rank is not None and len(row) != rank:
+    if len(row) != rank:
         raise ValueError("expected a free element of rank %d, got %d"
                          % (rank, len(row)))
+    for p in row:
+        if p.variables != ring.variables:
+            raise ValueError("row entry over %s, expected %s"
+                             % (p.variables, ring.variables))
     return row
 
 
@@ -339,98 +335,62 @@ def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
 
 
 class SubmoduleBasis:
-    """A generator list plus its completed Buchberger run.
+    """span(rows) + I*P^rank over the ring's P, as the completed untagged
+    `_ring_run((), rank, ring, base=rows)`, built on the first query.
 
     `normal_form` and `contains` reduce against the run's working elements:
     they are a Groebner basis, and the full remainder modulo any Groebner
-    basis is the same.  The reduced monic basis is built only when
+    basis is the same.  The reduced monic basis is built each time
     `groebner` or `groebner_rows()` is read."""
 
-    def __init__(self, generators: Sequence, order: MonomialOrder,
-                 rank: Optional[int] = None,
-                 variables: Optional[Tuple[str, ...]] = None):
-        rows = [_as_row(g) for g in generators]
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ValueError("generators of mixed rank")
-            inferred = widths.pop()
-            if rank is not None and rank != inferred:
-                raise ValueError("rank mismatch")
-            rank = inferred
-            variables = rows[0][0].variables
-        if rank is None:
-            raise ValueError("empty generator list needs an explicit rank")
-        if variables is None:
-            raise ValueError("empty generator list needs explicit variables")
-        for row in rows:
-            if all(p.is_zero() for p in row):
-                raise ValueError("zero generator")
-            for p in row:
-                if p.variables != variables:
-                    raise ValueError("variable-list mismatch in generators")
+    def __init__(self, rows: Sequence[FreeElement], rank: int,
+                 ring: RingSpec):
+        self.rows = tuple(rows)
         self.rank = rank
-        self.variables = variables
-        self.generators: Tuple[FreeElement, ...] = tuple(rows)
-        self.order = order
-        self._groebner: Optional[List[Vec]] = None
+        self.ring = ring
 
     @cached_property
     def _run(self) -> _BuchbergerRun:
-        inputs = [_row_to_vec(r) for r in self.generators]
-        return _buchberger(inputs, self.order, self.rank, 0,
-                           nvars=len(self.variables))
+        return _ring_run((), self.rank, self.ring, base=self.rows)
 
     @cached_property
     def _leads(self) -> Dict[int, List[ExpVec]]:
         """The minimal lead monomials of the run, by position."""
         leads: Dict[int, List[ExpVec]] = {}
-        for pos, exps in sorted({e.lead for e in self._run.elements},
-                                key=lambda t: (t[0], sum(t[1]))):
-            kept = leads.setdefault(pos, [])
-            if not any(_divides(k, exps) for k in kept):
-                kept.append(exps)
+        for e in _minimal(self._run.elements):
+            leads.setdefault(e.lead[0], []).append(e.lead[1])
         return leads
 
     @property
     def groebner(self) -> List[Vec]:
-        if self._groebner is None:
-            self._groebner = _reduced_basis(self._run.elements, self.order)
-        return self._groebner
+        return _reduced_basis(self._run.elements, self._run.order)
 
     def groebner_rows(self) -> List[FreeElement]:
-        return [_vec_to_row(v, self.rank, self.variables) for v in self.groebner]
+        return [_vec_to_row(v, self.rank, self.ring.variables)
+                for v in self.groebner]
 
-    def normal_form(self, value):
-        """The remainder; a value with no term divisible by a lead of the
-        basis is its own remainder and comes back as it is."""
-        row = _as_row(value, self.rank)
+    def normal_form(self, row: Sequence[Polynomial]) -> FreeElement:
+        """The remainder; a row with no term divisible by a lead of the
+        basis is its own remainder, and its entries come back as they are."""
+        row = _as_row(row, self.rank, self.ring)
         vec = _row_to_vec(row)
         leads = self._leads
         if any(_divides(lead, exps)
                for pos, exps in vec for lead in leads.get(pos, ())):
-            rem, m = _reduce(vec, self._run.elements, self._run.by_pos,
-                             self.order)
+            run = self._run
+            rem, m = _reduce(vec, run.elements, run.by_pos, run.order)
             _vec_divide(rem, m)
-            row = _vec_to_row(rem, self.rank, self.variables)
-        if isinstance(value, Polynomial):
-            return row[0]
+            row = _vec_to_row(rem, self.rank, self.ring.variables)
         return row
 
-    def contains(self, value) -> bool:
-        out = self.normal_form(value)
-        if isinstance(out, Polynomial):
-            return out.is_zero()
-        return all(p.is_zero() for p in out)
+    def contains(self, row: Sequence[Polynomial]) -> bool:
+        return all(p.is_zero() for p in self.normal_form(row))
 
 
-def groebner_basis(gens: Sequence, order: Optional[MonomialOrder] = None,
-                   rank: Optional[int] = None,
-                   variables: Optional[Tuple[str, ...]] = None) -> SubmoduleBasis:
-    """Reduced deterministic Groebner basis of the generated submodule."""
-    if order is None:
-        order = MonomialOrder()
-    return SubmoduleBasis(gens, order, rank=rank, variables=variables)
+def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
+                        ring: RingSpec) -> SubmoduleBasis:
+    """Basis of span(rows) + I*P^rank; `contains` decides membership over R."""
+    return SubmoduleBasis(rows, rank, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +399,15 @@ def groebner_basis(gens: Sequence, order: Optional[MonomialOrder] = None,
 
 @lru_cache(maxsize=None)
 def ring_groebner(ring: RingSpec) -> SubmoduleBasis:
-    """Cached reduced GB of the defining ideal (rank-1 submodule)."""
-    return SubmoduleBasis(tuple((f,) for f in ring.ideal), ring.order(),
-                          rank=1, variables=ring.variables)
+    """Cached basis of the defining ideal, a rank-1 submodule."""
+    return SubmoduleBasis((), 1, ring)
 
 
 def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
     """Normal form of a coefficient modulo the defining ideal."""
     if not ring.ideal:
         return p
-    return ring_groebner(ring).normal_form(p)
+    return ring_groebner(ring).normal_form((p,))[0]
 
 
 def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
@@ -463,21 +422,19 @@ def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
 def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
               base: Sequence[FreeElement] = ()) -> _BuchbergerRun:
     """Completed run over P on the rows, then `base`, then I*P^rank; the
-    rows alone carry tags."""
-    items = [_as_row(r, rank) for r in (*rows, *base)]
-    items += _ideal_unit_rows(rank, ring)
-    return _buchberger([_row_to_vec(r) for r in items], ring.order(), rank,
-                       len(rows), nvars=len(ring.variables))
-
-
-def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
-                        ring: RingSpec) -> SubmoduleBasis:
-    """Basis of span(rows) + I*P^rank; `contains` decides membership over R.
-    Zero rows add nothing to the span and are dropped."""
-    items = [row for row in (_as_row(r, rank) for r in rows)
-             if not all(p.is_zero() for p in row)]
-    return SubmoduleBasis(items + _ideal_unit_rows(rank, ring), ring.order(),
-                          rank=rank, variables=ring.variables)
+    rows alone carry tags, so a zero row is all tag and a zero untagged
+    row, adding nothing to the span, is skipped."""
+    run = _BuchbergerRun(ring.order(), rank, tagged=bool(rows))
+    one = (0,) * len(ring.variables)
+    items = [_as_row(r, rank, ring) for r in (*rows, *base)]
+    for i, row in enumerate(items + _ideal_unit_rows(rank, ring)):
+        vec = _row_to_vec(row)
+        if i < len(rows):
+            vec[(rank + i, one)] = 1
+        if vec:
+            run.add(vec)
+    run.complete()
+    return run
 
 
 def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
@@ -537,7 +494,7 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     run = _ring_run((), rank, ring, base)
     kept: List[FreeElement] = []
     for row in rows:
-        row = tuple(nf_poly(p, ring) for p in _as_row(row, rank))
+        row = tuple(nf_poly(p, ring) for p in _as_row(row, rank, ring))
         if run.absorb(_row_to_vec(row)):
             kept.append(row)
     return kept
@@ -570,7 +527,7 @@ def solve_linear(columns: Sequence[FreeElement], b: FreeElement,
     """
     nrows = len(b)
     run = _ring_run(columns, nrows, ring, base)
-    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows)), run.elements,
+    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows, ring)), run.elements,
                            run.by_pos, ring.order())
     _vec_divide(remainder, m)
     residual = _vec_to_row(remainder, nrows, ring.variables)

@@ -32,6 +32,7 @@ from .groebner import (
     SubmoduleBasis,
     nf_poly,
     prune_rows,
+    row_lead_key,
     submodule_over_ring,
     syzygies_over_ring,
 )
@@ -108,9 +109,7 @@ def relation_basis(m: Presentation) -> SubmoduleBasis:
 
 
 def element_is_zero(m: Presentation, element: FreeElement) -> bool:
-    if m.ngens == 0:
-        return True
-    return relation_basis(m).contains(tuple(element))
+    return relation_basis(m).contains(element)
 
 
 def presentation_is_zero(m: Presentation) -> bool:
@@ -120,9 +119,7 @@ def presentation_is_zero(m: Presentation) -> bool:
 def normalize_element(m: Presentation, element: FreeElement) -> FreeElement:
     """Canonical representative of an element of m: its normal form against
     the relations plus I*P^ngens, so no entry has a term in LT(I)."""
-    if m.ngens == 0:
-        return ()
-    return relation_basis(m).normal_form(tuple(element))
+    return relation_basis(m).normal_form(element)
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +175,20 @@ def kernel(f: ModuleMap) -> Tuple[Presentation, ModuleMap]:
 
     Kernel generators are the syzygies of the map columns modulo the target
     relations; kernel relations are the syzygies of those generators
-    modulo the source relations.  Into a target with no generators every
-    column is all tag, so the generators are the source's unit rows.
+    modulo the source relations, pruned in ascending-lead order as in
+    resolution._chain.  Into a target with no generators every column is
+    all tag, so the generators are the source's unit rows.
     """
     src, tgt, ring = f.source, f.target, f.source.ring
     ncols = src.ngens
-    if ncols == 0:
-        k = zero_presentation(ring)
-        return k, zero_map(k, src)
     raw = syzygies_over_ring(f.columns, tgt.ngens, ring, tgt.relations)
     gens = prune_rows(raw, ncols, ring, base=src.relations)
     labels = tuple(PlainLabel("k%d" % i) for i in range(len(gens)))
     if not gens:
-        k = Presentation(ring, (), (), ())
+        k = zero_presentation(ring)
         return k, zero_map(k, src)
     syz2 = syzygies_over_ring(gens, ncols, ring, src.relations)
+    syz2.sort(key=lambda r: row_lead_key(r, ring))
     rels = prune_rows(syz2, len(gens), ring)
     k = Presentation(ring, labels, tuple(rels))
     return k, ModuleMap(k, src, tuple(gens))
@@ -218,13 +214,10 @@ def check_exact(maps: Sequence[ModuleMap]) -> List[bool]:
         if f.target != g.source:
             raise ValueError("maps do not form a complex")
         composite_zero = is_zero_map(compose(g, f))
-        ker, incl = kernel(g)
-        if f.source.ngens == 0:
-            covered = ker.ngens == 0
-        else:
-            items = list(f.columns) + list(g.source.relations)
-            basis = submodule_over_ring(items, g.source.ngens, g.source.ring)
-            covered = all(basis.contains(col) for col in incl.columns)
+        _, incl = kernel(g)
+        basis = submodule_over_ring((*f.columns, *g.source.relations),
+                                    g.source.ngens, g.source.ring)
+        covered = all(basis.contains(col) for col in incl.columns)
         out.append(composite_zero and covered)
     return out
 

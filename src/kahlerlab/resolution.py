@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Coeff, Polynomial, partial_derivative
 from .parser import RingSpec
-from .groebner import (FreeElement, groebner_basis, krull_dimension, nf_poly,
-                       prune_rows, row_lead_key, syzygies_over_ring)
+from .groebner import (FreeElement, krull_dimension, nf_poly, prune_rows,
+                       row_lead_key, submodule_over_ring, syzygies_over_ring)
 from .presentations import Presentation, _clear_column, _row_degrees
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
@@ -238,12 +238,8 @@ def jacobian_regular(ring: RingSpec) -> bool:
     if c <= 0:
         return True
     jac = [[partial_derivative(f, j) for j in range(s)] for f in ring.ideal]
-    minors = []
     cache = {}
-    for rsel in combinations(range(len(ring.ideal)), c):
-        for csel in combinations(range(s), c):
-            d = _minor(jac, rsel, csel, ring, cache)
-            if not d.is_zero():
-                minors.append(d)
-    return groebner_basis(list(ring.ideal) + minors,
-                          ring.order()).contains(ring.one())
+    minors = [(_minor(jac, rsel, csel, ring, cache),)
+              for rsel in combinations(range(len(ring.ideal)), c)
+              for csel in combinations(range(s), c)]
+    return submodule_over_ring(minors, 1, ring).contains((ring.one(),))

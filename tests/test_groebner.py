@@ -12,14 +12,11 @@ from kahlerlab.diffmod import (DeltaBasis, _omega_rows, jq_presentation,
 from kahlerlab.groebner import (
     NoSolution,
     Solution,
-    SubmoduleBasis,
-    _buchberger,
     _ideal_unit_rows,
     _reduced_basis,
     _ring_run,
     _row_to_vec,
     _vec_to_row,
-    groebner_basis,
     krull_dimension,
     nf_poly,
     prune_rows,
@@ -44,19 +41,19 @@ def p(text, ring=PLANE):
 
 
 def test_cusp_ideal_normal_forms():
-    basis = groebner_basis([CUSP.ideal[0]], CUSP.order())
+    basis = submodule_over_ring((), 1, CUSP)
     rows = basis.groebner_rows()
     assert len(rows) == 1
     # monic with lead y^2 under the weighted order
     assert rows[0][0] == p("y^2 - x^3", CUSP)
-    assert basis.normal_form(p("x^2*y^2", CUSP)) == p("x^5", CUSP)
-    assert basis.normal_form(p("8*x^3 - y^2", CUSP)) == p("7*x^3", CUSP)
-    assert basis.contains(p("y^2 - x^3", CUSP))
-    assert not basis.contains(p("y", CUSP))
+    assert basis.normal_form((p("x^2*y^2", CUSP),)) == (p("x^5", CUSP),)
+    assert basis.normal_form((p("8*x^3 - y^2", CUSP),)) == (p("7*x^3", CUSP),)
+    assert basis.contains((p("y^2 - x^3", CUSP),))
+    assert not basis.contains((p("y", CUSP),))
 
 
 def test_ex316_ideal_is_self_groebner():
-    basis = groebner_basis(list(EX316.ideal), EX316.order())
+    basis = submodule_over_ring((), 1, EX316)
     rows = basis.groebner_rows()
     assert len(rows) == 2
     texts = {tuple(sorted((k, v) for k, v in q.terms.items())) for (q,) in rows}
@@ -71,10 +68,9 @@ def test_ex316_ideal_is_self_groebner():
 
 
 def test_groebner_idempotent_on_reduced_basis():
-    basis = groebner_basis([p("x^2 - y"), p("x*y - 1")])
-    again = groebner_basis([row[0] for row in basis.groebner_rows()])
-    assert [r[0] for r in basis.groebner_rows()] == \
-        [r[0] for r in again.groebner_rows()]
+    basis = submodule_over_ring([(p("x^2 - y"),), (p("x*y - 1"),)], 1, PLANE)
+    again = submodule_over_ring(basis.groebner_rows(), 1, PLANE)
+    assert basis.groebner_rows() == again.groebner_rows()
 
 
 def test_syzygies_of_two_variables():
@@ -85,7 +81,7 @@ def test_syzygies_of_two_variables():
 def test_syzygies_contain_obvious_combination():
     syz = syzygies_over_ring([(p("x"),), (p("y"),), (p("x + y"),)], 1, PLANE)
     want = (p("1"), p("1"), p("-1"))
-    assert SubmoduleBasis(syz, PLANE.order()).contains(want)
+    assert submodule_over_ring(syz, 3, PLANE).contains(want)
     # every generator really is a syzygy (checked again here, independently)
     for row in syz:
         combo = row[0] * p("x") + row[1] * p("y") + row[2] * p("x + y")
@@ -95,7 +91,7 @@ def test_syzygies_contain_obvious_combination():
 def test_module_normal_form_rank_two():
     e1 = (p("1"), p("0"))
     gens = [(p("x"), p("y")), (p("0"), p("x - y"))]
-    basis = SubmoduleBasis(gens, PLANE.order())
+    basis = submodule_over_ring(gens, 2, PLANE)
     nf = basis.normal_form((p("x"), p("y")))
     assert all(c.is_zero() for c in nf)
     assert not basis.contains(e1)
@@ -179,14 +175,12 @@ def test_prune_rows_matches_rebuild_on_kernel_rows_with_base():
 def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     db = DeltaBasis(EX316, 2)
     rank = len(db.monomials)
-    seeds = _ideal_unit_rows(rank, EX316)
-    run = _buchberger([_row_to_vec(r) for r in seeds], EX316.order(), rank,
-                      0, nvars=len(EX316.variables))
+    run = _ring_run((), rank, EX316)
     rows = _omega_rows(EX316, 2, db)
     absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
     assert absorbed[0] and not absorbed[-1]
     assert (_reduced_basis(run.elements, EX316.order())
-            == SubmoduleBasis(rows + seeds, EX316.order()).groebner)
+            == submodule_over_ring(rows, rank, EX316).groebner)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +354,10 @@ def _ref_solve(columns, b, ring):
 def _reduced_basis_normal_form(basis, row):
     """Reference normal form: full rational reduction against the reduced
     monic basis, a second Groebner basis of the same submodule."""
-    elements = [(v, None, _ref_lead(v, basis.order)) for v in basis.groebner]
-    rem = _ref_reduce(_row_to_vec(row), None, elements, basis.order)
-    return _vec_to_row(rem, basis.rank, basis.variables)
+    order = basis.ring.order()
+    elements = [(v, None, _ref_lead(v, order)) for v in basis.groebner]
+    rem = _ref_reduce(_row_to_vec(row), None, elements, order)
+    return _vec_to_row(rem, basis.rank, basis.ring.variables)
 
 
 def _random_entry(rng, ring):
@@ -619,6 +614,31 @@ def test_krull_dimension():
     assert krull_dimension(EX316) == 1
 
 
-def test_zero_generators_rejected():
-    with pytest.raises(ValueError):
-        SubmoduleBasis([(Polynomial.zero(("x", "y")),)], PLANE.order())
+def test_zero_rows_add_nothing_to_a_span():
+    x, zero = p("x"), p("0")
+    assert submodule_over_ring([(zero, zero)], 2, PLANE).groebner_rows() == []
+    basis = submodule_over_ring([(zero, zero), (x, zero), (zero, zero)], 2,
+                                PLANE)
+    assert basis.groebner_rows() == [(x, zero)]
+    assert not basis.contains((zero, p("1")))
+
+
+def test_rows_over_another_variable_list_are_rejected():
+    # x*z over Q[x, y, z] is no element of PLANE = Q[x, y]; zipping its
+    # exponent vectors with PLANE's gave silently wrong answers
+    xz = parse_poly("x*z", make_ringspec(("x", "y", "z")))
+    x, y = p("x"), p("y")
+    calls = [
+        lambda: syzygies_over_ring([(xz,), (y,)], 1, PLANE),
+        lambda: submodule_over_ring([(xz,)], 1, PLANE).contains((x,)),
+        lambda: submodule_over_ring([(x,)], 1, PLANE).normal_form((xz,)),
+        lambda: solve_linear([(xz,)], (x,), PLANE),
+        lambda: solve_linear([(x,)], (xz,), PLANE),
+        lambda: prune_rows([(xz,)], 1, PLANE),
+        lambda: prune_rows([(x,)], 1, PLANE, base=[(xz,)]),
+        # and rows of the wrong length
+        lambda: submodule_over_ring([(x, y)], 1, PLANE).contains((x,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

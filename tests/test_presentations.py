@@ -99,6 +99,8 @@ def test_kernel_into_the_zero_module_is_the_whole_source():
     m = Presentation(CUSP, gens("a", "b"), ((x, zero),))
     k, incl = kernel(zero_map(m, zero_presentation(CUSP)))
     assert incl.columns == (m.unit_row(0), m.unit_row(1))
+    # relations pruned in ascending-lead order: no redundant (x^4, 0)
+    assert k.relations == ((x, zero),)
     assert element_is_zero(k, (x, zero))
     assert all(element_is_zero(m, row) for row in k.relations)
 
@@ -148,6 +150,9 @@ def test_check_exact_flags_failure():
     f = ModuleMap(left, mid, ((p("y^2"), p("-x*y")),))  # image strictly smaller
     g = ModuleMap(mid, right, ((p("x"),), (p("y"),)))
     assert check_exact([f, g]) == [False]
+    # the zero module covers no kernel generator
+    assert check_exact([ModuleMap(zero_presentation(PLANE), mid, ()), g]) \
+        == [False]
 
 
 def test_compose_and_identity():
