@@ -28,11 +28,16 @@ the tagged ones.  An element whose terms all sit at positions >= rank is a
 syzygy of the tagged inputs modulo the span of the others; it is
 recorded, shifted down by rank, and never joins the basis.  The recorded
 set generates all such syzygies (Eisenbud, *Commutative Algebra*,
-Thm 15.10): the working elements' parts below rank form a Groebner basis
-of the inputs' span, so by Schreyer's theorem a relation among them is a
-combination of their S-pair relations, and each S-pair's remainder is
-zero, a new working element or recorded.  That needs the S-pair relations
-of every pair, so a run with tags skips none.
+Lemma 15.1 and Thm 15.10): the working elements' parts below rank form a
+Groebner basis of the inputs' span, so by Schreyer's theorem a relation
+among them is a combination of the S-pair relations of any set of pairs
+whose term syzygies generate the syzygies of the leads, and each such
+pair's remainder is zero, a new working element or recorded.  The
+Gebauer-Moller criteria B, M and F (*J. Symb. Comp.* 6, 1988) drop only
+pairs whose term syzygies are combinations of those of other pairs, so
+tagged runs use them too.  The product criterion holds for ideals only,
+and the coprime pairs it drops carry Koszul relations that nothing else
+records, so only untagged rank-1 runs use it.
 
 Submodules over a quotient ring R = P/I are handled by the augmentation
 convention (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 5 sec. 2):
@@ -195,9 +200,16 @@ class _BuchbergerRun:
     """A resumable Buchberger run: working elements, their indices by lead
     position, the pair heap and the recorded syzygies.
 
-    A tagged run (inputs carry tag positions, see the module docstring)
-    processes every pair, since the product criterion would skip the
-    Koszul syzygies it must record.
+    `add` applies the Gebauer-Moller update at the new lead's position
+    (*J. Symb. Comp.* 6, 1988).  B drops a pending pair whose lcm the new
+    lead divides, unless the new lead's lcm with one of the pair's elements
+    is that same lcm; M drops a new pair whose lcm is a proper multiple of
+    another new pair's lcm; F keeps one new pair per lcm, the lowest index.
+    The product criterion drops a whole lcm class, but only in an untagged
+    rank-1 run: a tagged run keeps its coprime pairs, whose Koszul
+    syzygies it must record.  The term syzygies of the pairs kept still
+    generate the syzygies of the leads, so by Schreyer's theorem the
+    recorded syzygies generate them all (see the module docstring).
     """
 
     def __init__(self, order: MonomialOrder, rank: int, tagged: bool):
@@ -211,35 +223,53 @@ class _BuchbergerRun:
 
     def add(self, vec: Vec) -> None:
         """Take a nonzero element in: one that leads with a tag is a
-        syzygy, shifted down by rank; any other joins the basis and pushes
-        its pairs."""
+        syzygy, shifted down by rank; any other joins the basis and updates
+        the pairs."""
         _make_primitive(vec, self.order)
         elt = _Elt(vec, self.order)
-        pos = elt.lead[0]
+        pos, lead = elt.lead
         if pos >= self.rank:
             self.syzygies.append({(p - self.rank, exps): c
                                   for (p, exps), c in vec.items()})
             return
-        idx = len(self.elements)
+
+        def lcm_with(i: int) -> ExpVec:
+            return tuple(map(max, self.elements[i].lead[1], lead))
+
+        # B, on the pending pairs at this position
+        pending = [p for p in self.pairs
+                   if p[1] != pos or not _divides(lead, p[4])
+                   or lcm_with(p[2]) == p[4] or lcm_with(p[3]) == p[4]]
+        if len(pending) < len(self.pairs):
+            heapq.heapify(pending)
+            self.pairs = pending
+        # F, M and the product criterion, on the new pairs
+        product = not self.tagged and self.rank == 1
+        first: Dict[ExpVec, int] = {}
+        coprime = set()
         for jdx in self.by_pos.get(pos, ()):
-            other = self.elements[jdx]
-            if (not self.tagged and self.rank == 1
-                    and all(a == 0 or b == 0
-                            for a, b in zip(other.lead[1], elt.lead[1]))):
-                continue  # product criterion: safe only for untagged ideals
-            lcm_exps = tuple(max(a, b) for a, b in zip(other.lead[1], elt.lead[1]))
-            heapq.heappush(self.pairs, (self.order.key(lcm_exps), pos, jdx, idx))
+            lcm_exps = lcm_with(jdx)
+            first.setdefault(lcm_exps, jdx)
+            if product and not any(map(min, self.elements[jdx].lead[1], lead)):
+                coprime.add(lcm_exps)
+        idx = len(self.elements)
+        for lcm_exps, jdx in first.items():
+            if lcm_exps in coprime or any(
+                    other != lcm_exps and _divides(other, lcm_exps)
+                    for other in first):
+                continue
+            heapq.heappush(self.pairs, (self.order.key(lcm_exps), pos, jdx,
+                                        idx, lcm_exps))
         self.elements.append(elt)
         self.by_pos.setdefault(pos, []).append(idx)
 
     def complete(self) -> None:
         """Drain the pair heap; the working elements are then a GB."""
         while self.pairs:
-            _, pos, i, j = heapq.heappop(self.pairs)
+            _, _, i, j, lcm_exps = heapq.heappop(self.pairs)
             gi, gj = self.elements[i], self.elements[j]
-            lcm_exps = tuple(max(a, b) for a, b in zip(gi.lead[1], gj.lead[1]))
-            shift_i = tuple(a - b for a, b in zip(lcm_exps, gi.lead[1]))
-            shift_j = tuple(a - b for a, b in zip(lcm_exps, gj.lead[1]))
+            shift_i = tuple(map(sub, lcm_exps, gi.lead[1]))
+            shift_j = tuple(map(sub, lcm_exps, gj.lead[1]))
             vec: Vec = {}
             _vec_submul(vec, -gj.lc, shift_i, gi.vec)
             _vec_submul(vec, gi.lc, shift_j, gj.vec)

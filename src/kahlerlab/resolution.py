@@ -107,10 +107,12 @@ def _chain(rows: Sequence[FreeElement], ring: RingSpec, cutoff: int,
            sweep: bool) -> Tuple[List[List[FreeElement]], bool]:
     """Iterated syzygies of a relation matrix, at most `cutoff` steps.
 
-    Each syzygy set is pruned to a generating set before the next step;
-    a tagged run records one syzygy per pair that reduces to tags alone,
-    so without pruning the ranks (and the running time) grow
-    multiplicatively.
+    Each syzygy set is pruned to a generating set before the next step.
+    A tagged run records one syzygy for each pair that survives the
+    Gebauer-Moller criteria B, M and F and reduces to tags alone; those
+    still generate every syzygy (Schreyer's theorem, see `groebner`), but
+    far from minimally, so without pruning the ranks (and the running
+    time) grow multiplicatively.
     """
     steps: List[List[FreeElement]] = []
     current = list(rows)

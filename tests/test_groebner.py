@@ -7,6 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
+from kahlerlab import groebner
 from kahlerlab.diffmod import (DeltaBasis, _omega_rows, jq_presentation,
                                omega_presentation, theta_to_first)
 from kahlerlab.groebner import (
@@ -187,8 +188,10 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
 # A rational reference engine: Fraction coefficients, each lead found by a
 # linear scan under `MonomialOrder.key`, no heap and no low keys.  It is the
 # engine's reduction loop and pair loop as they stood before the engine went
-# fraction-free over the integers, kept here as an independent model for the
-# fast path to agree with.
+# fraction-free over the integers, with the pair criteria written out a
+# second time, kept here as an independent model for the fast path to agree
+# with.  Without its criteria it reduces every pair, a model of what the
+# criteria must keep.
 
 
 def _ref_key(term, order):
@@ -244,16 +247,25 @@ def _ref_primitive(vec, expr, order):
             part[key] *= scale
 
 
+def _ref_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 class _RefRun:
     """A completed rational Buchberger run with the engine's pair order;
-    the first `ntracked` inputs carry tracked expressions."""
+    the first `ntracked` inputs carry tracked expressions.  With `criteria`
+    it applies the engine's pair criteria (Gebauer-Moller B, M and F, and
+    the product criterion in untagged rank-1 runs); without, it reduces
+    every pair."""
 
-    def __init__(self, inputs, order, rank, ntracked):
+    def __init__(self, inputs, order, rank, ntracked, criteria=True):
         self.order, self.rank = order, rank
         self.track = ntracked > 0
+        self.criteria = criteria
         self.elements = []
         self.pairs = []
         self.syzygies = []
+        self.reduced = 0
         zero = (0,) * next(len(e) for vec in inputs for (_, e) in vec)
         for i, vec in enumerate(inputs):
             expr = None
@@ -265,9 +277,9 @@ class _RefRun:
                 continue
             self.add(dict(vec), expr)
         while self.pairs:
-            _, _, i, j = heapq.heappop(self.pairs)
+            _, _, i, j, top = heapq.heappop(self.pairs)
+            self.reduced += 1
             (vi, ei, li), (vj, ej, lj) = self.elements[i], self.elements[j]
-            top = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
             si = tuple(a - b for a, b in zip(top, li[1]))
             sj = tuple(a - b for a, b in zip(top, lj[1]))
             vec, expr = {}, ({} if self.track else None)
@@ -286,14 +298,30 @@ class _RefRun:
         _ref_primitive(vec, expr, self.order)
         lead = _ref_lead(vec, self.order)
         idx = len(self.elements)
-        for jdx, (_, _, other) in enumerate(self.elements):
-            if other[0] != lead[0]:
-                continue
-            if (not self.track and self.rank == 1
-                    and all(a == 0 or b == 0 for a, b in zip(other[1], lead[1]))):
-                continue
-            top = tuple(max(a, b) for a, b in zip(other[1], lead[1]))
-            heapq.heappush(self.pairs, (self.order.key(top), lead[0], jdx, idx))
+        new = [(_ref_lcm(other[1], lead[1]), jdx)
+               for jdx, (_, _, other) in enumerate(self.elements)
+               if other[0] == lead[0]]
+        if self.criteria:
+            def chained(pair):  # B
+                _, pos, i, j, top = pair
+                return (pos == lead[0] and _ref_divides(lead[1], top)
+                        and _ref_lcm(self.elements[i][2][1], lead[1]) != top
+                        and _ref_lcm(self.elements[j][2][1], lead[1]) != top)
+            self.pairs = [pair for pair in self.pairs if not chained(pair)]
+            heapq.heapify(self.pairs)
+            coprime = set()
+            if not self.track and self.rank == 1:
+                coprime = {top for top, jdx in new
+                           if top == tuple(a + b for a, b in zip(
+                               self.elements[jdx][2][1], lead[1]))}
+            new = [(top, jdx) for top, jdx in new
+                   if top not in coprime  # product
+                   and not any(o != top and _ref_divides(o, top)
+                               for o, _ in new)  # M
+                   and min(k for o, k in new if o == top) == jdx]  # F
+        for top, jdx in new:
+            heapq.heappush(self.pairs,
+                           (self.order.key(top), lead[0], jdx, idx, top))
         self.elements.append((vec, expr, lead))
 
     def reduced_basis(self):
@@ -339,10 +367,10 @@ def _ref_syzygy_rows(raw, t, ring):
     return rows
 
 
-def _ref_solve(columns, b, ring):
+def _ref_solve(columns, b, ring, criteria=True):
     items = list(columns) + _ideal_unit_rows(len(b), ring)
     run = _RefRun([_row_to_vec(r) for r in items], ring.order(), len(b),
-                  ntracked=len(columns))
+                  ntracked=len(columns), criteria=criteria)
     acc = {}
     rem = _ref_reduce(_row_to_vec(tuple(b)), acc, run.elements, ring.order())
     if rem:
@@ -485,10 +513,70 @@ def test_engine_matches_the_rational_reference(ring):
     assert 0 < solved < 9
 
 
+@pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
+                         ids=["plane", "cusp", "ex316"])
+def test_pair_criteria_keep_what_the_engine_promises(ring, monkeypatch):
+    """Against the reference that reduces every pair, the engine gives the
+    same reduced basis, normal forms, syzygy module (by mutual containment)
+    and NoSolution residuals, and each Solution solves the system.  On
+    ex316 the engine's tagged runs reduce fewer pairs and record fewer
+    syzygies, so criteria turned off show."""
+    rng = random.Random(8200 + len(ring.ideal))
+    order = ring.order()
+    calls = []
+    reduce = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce",
+                        lambda *args: calls.append(1) or reduce(*args))
+    pairs = {"engine": 0, "free": 0}
+    syzygies = {"engine": 0, "free": 0}
+    for _ in range(3):
+        rows = _random_rows(rng, ring, 3, 2)
+        t = len(rows)
+        items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
+        free = _RefRun(items, order, 2, ntracked=t, criteria=False)
+        del calls[:]
+        run = _ring_run(rows, 2, ring)
+        pairs["engine"] += len(calls)
+        pairs["free"] += free.reduced
+        syzygies["engine"] += len(run.syzygies)
+        syzygies["free"] += len(free.syzygies)
+        got = syzygies_over_ring(rows, 2, ring)
+        want = _ref_syzygy_rows(free.syzygies, t, ring)
+        for gens, others in ((got, want), (want, got)):
+            span = submodule_over_ring(gens, t, ring)
+            assert all(span.contains(s) for s in others)
+
+        plain = _RefRun(items, order, 2, ntracked=0, criteria=False)
+        basis = submodule_over_ring(rows, 2, ring)
+        assert basis.groebner == plain.reduced_basis()
+        for _ in range(6):
+            row = tuple(_small_entry(rng, ring) for _ in range(2))
+            assert basis.normal_form(row) == _ref_normal_form(plain, row)
+
+        for _ in range(3):
+            b = tuple(_small_entry(rng, ring) for _ in range(2))
+            if rng.random() < 0.5:
+                for row in rows:
+                    c = _small_entry(rng, ring)
+                    b = tuple(x + c * y for x, y in zip(b, row))
+            got = solve_linear(rows, b, ring)
+            want = _ref_solve(rows, b, ring, criteria=False)
+            assert type(got) is type(want)
+            if isinstance(got, NoSolution):
+                assert got == want
+                continue
+            for k in range(2):
+                combo = -b[k]
+                for x, row in zip(got.column, rows):
+                    combo = combo + x * row[k]
+                assert _ref_ring_nf(combo, ring).is_zero()
+    if ring is EX316:
+        assert pairs["engine"] < pairs["free"]
+        assert syzygies["engine"] < syzygies["free"]
+
+
 def _monomial_rows(rng, ring, count, rank):
-    """Nonzero rows whose entries are 0 or +-x^a with exponents below 3.
-    Two-term rational entries give syzygy modules over ex316 whose
-    Groebner basis, needed for the containment check, takes 10-35 s."""
+    """Nonzero rows whose entries are 0 or +-x^a with exponents below 3."""
     rows = []
     while len(rows) < count:
         row = tuple(Polynomial(ring.variables, {
@@ -499,17 +587,23 @@ def _monomial_rows(rng, ring, count, rank):
     return rows
 
 
-@pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
-                         ids=["plane", "cusp", "ex316"])
-def test_base_agrees_with_appended_inputs_cut_off(ring):
+@pytest.mark.parametrize("ring, draw", [
+    pytest.param(PLANE, _monomial_rows, id="plane"),
+    pytest.param(CUSP, _monomial_rows, id="cusp"),
+    pytest.param(EX316, _monomial_rows, id="ex316"),
+    pytest.param(EX316, _random_rows, id="ex316-two-terms"),
+])
+def test_base_agrees_with_appended_inputs_cut_off(ring, draw):
     """Working modulo span(base) agrees with appending the base rows as
     tagged inputs and cutting their coefficients off: the syzygies
-    generate the same submodule, and the solutions are equal."""
+    generate the same submodule, and the solutions are equal.  The
+    two-term rows over ex316 give syzygy modules whose bases are quick
+    only with the pair criteria."""
     rng = random.Random(8500 + len(ring.ideal))
     solved = 0
     for _ in range(3):
-        rows = _monomial_rows(rng, ring, 3, 2)
-        base = _monomial_rows(rng, ring, 2, 2)
+        rows = draw(rng, ring, 3, 2)
+        base = draw(rng, ring, 2, 2)
         t = len(rows)
         got = syzygies_over_ring(rows, 2, ring, base)
         cut = [s[:t] for s in syzygies_over_ring(rows + base, 2, ring)]
@@ -517,10 +611,10 @@ def test_base_agrees_with_appended_inputs_cut_off(ring):
             span = submodule_over_ring(gens, t, ring)
             assert all(span.contains(s) for s in others)
         for _ in range(3):
-            b = _monomial_rows(rng, ring, 1, 2)[0]
+            b = draw(rng, ring, 1, 2)[0]
             if rng.random() < 0.5:
                 for row in rows + base:
-                    c = _monomial_rows(rng, ring, 1, 1)[0][0]
+                    c = draw(rng, ring, 1, 1)[0][0]
                     b = tuple(x + c * y for x, y in zip(b, row))
             out = solve_linear(rows, b, ring, base)
             old = solve_linear(rows + base, b, ring)
