@@ -37,8 +37,6 @@ from .presentations import (
 )
 from .diffmod import (
     DeltaBasis,
-    Found,
-    NotFound,
     SymmetricDerivation,
     apply_derivation,
     delta_expand,

@@ -57,7 +57,7 @@ from .presentations import (
 )
 from .diffmod import (
     DeltaBasis,
-    Found,
+    SymmetricDerivation,
     delta_expand,
     iota_sym_to_omega2,
     jets_of_ring,
@@ -98,12 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Q[x_1..x_s]/I")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, ring=True, q=False, module=None, cutoff=False,
+    def add(name, help_text, q=False, module=None, cutoff=False,
             basis=False, target=False, bound=False):
         p = sub.add_parser(name, help=help_text)
-        if ring:
-            p.add_argument("--ring", required=True, metavar="FILE",
-                           help="ring file (vars/weights/ideal statements)")
+        p.add_argument("--ring", required=True, metavar="FILE",
+                       help="ring file (vars/weights/ideal statements)")
         if q:
             p.add_argument("-q", type=_positive_int, default=1,
                            help="differential order (default 1)")
@@ -221,7 +220,7 @@ def _split_sequence(ring: RingSpec, derivation) -> Tuple[List[bool], bool]:
     exact = check_exact([left, iota, theta, right])
     splitting = False
     if derivation is not None:
-        t = splitting_t(ring, derivation)
+        t = splitting_t(derivation)
         splitting = check_well_defined(t) and \
             verify_splitting(iota, t, Fraction(1, 2))
     return exact, splitting
@@ -319,11 +318,11 @@ def _check_cusp_matrix(rings, cases):
 def _check_split_plane(rings, cases):
     ring = rings["poly2"]
     out = symmetric_derivation_solve(ring, 1)
-    _expect(isinstance(out, Found), "no symmetric derivation on the plane")
-    _expect(all(all(c.is_zero() for c in img)
-                for img in out.derivation.images),
+    _expect(isinstance(out, SymmetricDerivation),
+            "no symmetric derivation on the plane")
+    _expect(all(all(c.is_zero() for c in img) for img in out.images),
             "plane derivation should have zero generator images")
-    exact, splitting = _split_sequence(ring, out.derivation)
+    exact, splitting = _split_sequence(ring, out)
     _expect(exact == [True, True, True], "sequence not exact: %r" % exact)
     _expect(_kernel_matches_image(ring), "kernel(theta) != image(iota)")
     _expect(splitting, "retraction is not a splitting")
@@ -402,15 +401,16 @@ def _check_weighted_pd(rings, cases):
 
 def _check_symderiv_consistency(rings, cases):
     for name in ("cusp", "ex316"):
-        found = isinstance(symmetric_derivation_solve(rings[name], 1), Found)
+        found = isinstance(symmetric_derivation_solve(rings[name], 1),
+                           SymmetricDerivation)
         oracle = symmetric_derivation_oracle(rings[name], 1)
         _expect(found == oracle,
                 "%s: solver says %s, oracle says %s"
                 % (name, found, oracle))
     for name in sorted(rings):
         got = symmetric_derivation_solve(rings[name], 1)
-        if isinstance(got, Found):
-            exact, splitting = _split_sequence(rings[name], got.derivation)
+        if isinstance(got, SymmetricDerivation):
+            exact, splitting = _split_sequence(rings[name], got)
             _expect(exact == [True, True, True],
                     "%s: sequence not exact: %r" % (name, exact))
             _expect(_kernel_matches_image(rings[name]),
@@ -563,7 +563,7 @@ def _dispatch(args) -> Tuple[str, int]:
 
     if command == "split":
         out = symmetric_derivation_solve(ring, 1)
-        derivation = out.derivation if isinstance(out, Found) else None
+        derivation = out if isinstance(out, SymmetricDerivation) else None
         exact, splitting = _split_sequence(ring, derivation)
         result = {"derivation_found": derivation is not None,
                   "exact": exact, "splitting": splitting}
@@ -576,7 +576,7 @@ def _dispatch(args) -> Tuple[str, int]:
     if command == "symderiv":
         request.update(q=args.q, degree_bound=args.degree_bound)
         out = symmetric_derivation_solve(ring, args.q)
-        found = isinstance(out, Found)
+        found = isinstance(out, SymmetricDerivation)
         oracle = symmetric_derivation_oracle(ring, args.q,
                                              args.degree_bound)
         agrees = found == oracle

@@ -9,8 +9,11 @@ to a generating set.
 
 The symmetric-derivation solver decides whether the second-order structure
 splits: it searches for generator images in S^2(Omega^(q)) compatible with
-the Leibniz rule on every relation, and an independent bounded-degree
-oracle double-checks the verdict without the Groebner engine.
+the Leibniz rule on every relation and returns the SymmetricDerivation it
+found or the engine's NoSolution certificate.  A first-order derivation D
+gives the retraction t = D∘theta of Omega^(2) onto S^2(Omega^1).  An
+independent bounded-degree oracle double-checks the verdict without the
+Groebner engine.
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .groebner import FreeElement, NoSolution, nf_poly, prune_rows, solve_linear
 from .presentations import (
     ModuleMap,
     Presentation,
+    _add_sym,
     _pair_index,
     _row_degrees,
     direct_sum,
@@ -81,14 +85,16 @@ class DeltaBasis:
 
 
 def _back_substitute(table: Dict[ExpVec, Polynomial], ring: RingSpec,
-                     q: int, floor: int) -> Dict[ExpVec, Polynomial]:
-    """Coefficients c_gamma with sum_gamma c_gamma * row(x^gamma) matching
-    the given coefficient table, where row(x^gamma) has entry
-    C(gamma,eta) x^(gamma-eta) at slot eta.  Unit diagonal, so one sweep by
-    descending |gamma| suffices; every emitted coefficient is reduced."""
+                     q: int) -> Dict[ExpVec, Polynomial]:
+    """Coefficients c_gamma, |gamma| <= q, with sum_gamma c_gamma *
+    row(x^gamma) matching the given coefficient table, where row(x^gamma)
+    has entry C(gamma,eta) x^(gamma-eta) at slot eta.  Unit diagonal, so
+    one sweep by descending |gamma| suffices; every emitted coefficient is
+    reduced.  The slot gamma = 0 is solved last and feeds no other, so the
+    coefficients at |gamma| >= 1 do not depend on the table's entry there."""
     zero = ring.zero()
     out: Dict[ExpVec, Polynomial] = {}
-    gammas = _exponent_vectors(len(ring.variables), q, floor)
+    gammas = _exponent_vectors(len(ring.variables), q, 0)
     for gamma in reversed(gammas):
         c = nf_poly(table.get(gamma, zero), ring)
         out[gamma] = c
@@ -96,7 +102,7 @@ def _back_substitute(table: Dict[ExpVec, Polynomial], ring: RingSpec,
             continue
         ranges = [range(e + 1) for e in gamma]
         for eta in product(*ranges):
-            if eta == gamma or sum(eta) < floor:
+            if eta == gamma:
                 continue
             mult = 1
             for g, e in zip(gamma, eta):
@@ -110,10 +116,8 @@ def _back_substitute(table: Dict[ExpVec, Polynomial], ring: RingSpec,
 @lru_cache(maxsize=None)
 def _expansion_coords(h: Polynomial, ring: RingSpec,
                       q: int) -> Tuple[Tuple[ExpVec, Polynomial], ...]:
-    # the coefficients at |gamma| >= 1 are unaffected by also solving the
-    # constant slot, so one table serves both expansion flavours
-    table = dict(shift_components(h, q, include_constant=True))
-    coords = _back_substitute(table, ring, q, 0)
+    # the constant slot serves the jets; the delta symbols read |gamma| >= 1
+    coords = _back_substitute(shift_components(h, q), ring, q)
     return tuple(sorted(coords.items()))
 
 
@@ -140,7 +144,7 @@ def delta_expand_via_products(h: Polynomial, ring: RingSpec,
         return Polynomial(doubled, kept)
 
     def shift_of_monomial(exps: ExpVec) -> Polynomial:
-        # x^e |-> (x+u)^e - x^e by repeated multiplication
+        # x^e |-> (x+u)^e by repeated multiplication
         acc = Polynomial.const(doubled, 1)
         for i, e in enumerate(exps):
             xi = Polynomial.monomial(doubled, tuple(
@@ -149,20 +153,16 @@ def delta_expand_via_products(h: Polynomial, ring: RingSpec,
                 1 if j == n + i else 0 for j in range(2 * n)))
             for _ in range(e):
                 acc = truncate(acc * (xi + ui))
-        base = Polynomial.monomial(doubled, exps + (0,) * n)
-        return acc - base
+        return acc
 
     total = zero
     for exps, coeff in h.terms.items():
         total = total + shift_of_monomial(exps).scale(coeff)
     table: Dict[ExpVec, Dict[ExpVec, Fraction]] = {}
     for exps, coeff in total.terms.items():
-        gamma = exps[n:]
-        if sum(gamma) == 0:
-            continue
-        table.setdefault(gamma, {})[exps[:n]] = coeff
+        table.setdefault(exps[n:], {})[exps[:n]] = coeff
     polys = {g: Polynomial(h.variables, b) for g, b in table.items()}
-    coords = _back_substitute(polys, ring, q, 1)
+    coords = _back_substitute(polys, ring, q)
     basis = DeltaBasis(ring, q)
     return tuple(coords[m] for m in basis.monomials)
 
@@ -305,25 +305,15 @@ def theta_to_first(ring: RingSpec, q: int) -> ModuleMap:
 def iota_sym_to_omega2(ring: RingSpec) -> ModuleMap:
     """Embedding S^2(Omega^1) -> Omega^(2):
     s(d(x_i), d(x_j)) |-> d_2(x_i x_j) - x_i d_2(x_j) - x_j d_2(x_i)."""
-    omega1 = omega_presentation(ring, 1)
-    source = symmetric_square(omega1)
+    source = symmetric_square(omega_presentation(ring, 1))
     target = omega_presentation(ring, 2)
-    basis2 = DeltaBasis(ring, 2)
-    nvars = len(ring.variables)
+    xs = [Polynomial.variable(ring.variables, v) for v in ring.variables]
+    d2 = [delta_expand(x, ring, 2) for x in xs]
     cols = []
-    for i in range(nvars):
-        for j in range(i, nvars):
-            prod_exps = tuple((1 if k == i else 0) + (1 if k == j else 0)
-                              for k in range(nvars))
-            col = list(delta_expand(
-                Polynomial.monomial(ring.variables, prod_exps), ring, 2))
-            unit_i = tuple(1 if k == i else 0 for k in range(nvars))
-            unit_j = tuple(1 if k == j else 0 for k in range(nvars))
-            xi = Polynomial.monomial(ring.variables, unit_i)
-            xj = Polynomial.monomial(ring.variables, unit_j)
-            col[basis2.index[unit_j]] = col[basis2.index[unit_j]] - xi
-            col[basis2.index[unit_i]] = col[basis2.index[unit_i]] - xj
-            cols.append(tuple(nf_poly(c, ring) for c in col))
+    for i, j in _pair_index(len(xs)):
+        d2_ij = delta_expand(xs[i] * xs[j], ring, 2)
+        cols.append(tuple(nf_poly(a - xs[i] * b - xs[j] * c, ring)
+                          for a, b, c in zip(d2_ij, d2[j], d2[i])))
     return ModuleMap(source, target, tuple(cols))
 
 
@@ -363,22 +353,6 @@ class SymmetricDerivation:
                 raise ValueError("image row length does not match S^2")
 
 
-@dataclass(frozen=True)
-class Found:
-    derivation: SymmetricDerivation
-
-
-@dataclass(frozen=True)
-class NotFound:
-    residual: FreeElement
-
-
-def _zero_derivation(ring: RingSpec, q: int, omega: Presentation,
-                     sym: Presentation) -> SymmetricDerivation:
-    images = tuple(sym.zero_row() for _ in range(omega.ngens))
-    return SymmetricDerivation(ring, q, omega, sym, images)
-
-
 def apply_derivation(d: SymmetricDerivation,
                      element: Sequence[Polynomial]) -> FreeElement:
     """D(sum_t a_t e_t) = sum_t [sym(expansion of a_t, e_t) + a_t D(e_t)]."""
@@ -391,11 +365,7 @@ def apply_derivation(d: SymmetricDerivation,
     for t, a in enumerate(element):
         if a.is_zero():
             continue
-        for pos, c in enumerate(delta_expand(a, ring, d.q)):
-            if c.is_zero():
-                continue
-            idx = pair[(min(pos, t), max(pos, t))]
-            out[idx] = out[idx] + c
+        _add_sym(out, pair, delta_expand(a, ring, d.q), t)
         for s_idx, v in enumerate(d.images[t]):
             if not v.is_zero():
                 out[s_idx] = out[s_idx] + a * v
@@ -411,12 +381,14 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
     The system lives in one copy of R^(S^2 generators) per relation row:
     the unknown D(e_s)_c has the column m_s at slot c of every copy, and
     the base is the relations of S^2 in each copy (block-diagonal).
-    Returns Found(derivation) or NotFound(residual certificate)."""
+    Returns the SymmetricDerivation, or the engine's NoSolution whose
+    residual certifies that none exists."""
     omega = omega_presentation(ring, q)
     sym = symmetric_square(omega)
-    zero_d = _zero_derivation(ring, q, omega, sym)
+    zero_d = SymmetricDerivation(
+        ring, q, omega, sym, tuple(sym.zero_row() for _ in range(omega.ngens)))
     if not omega.relations:
-        return Found(zero_d)
+        return zero_d
     nsym = sym.ngens
     rels = omega.relations
     zero = ring.zero()
@@ -429,11 +401,11 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
     b = tuple(-p for m in rels for p in apply_derivation(zero_d, m))
     out = solve_linear(columns, b, ring, base)
     if isinstance(out, NoSolution):
-        return NotFound(out.residual)
+        return out
     sol = out.column
     images = tuple(tuple(sol[sigma * nsym + c] for c in range(nsym))
                    for sigma in range(omega.ngens))
-    return Found(SymmetricDerivation(ring, q, omega, sym, images))
+    return SymmetricDerivation(ring, q, omega, sym, images)
 
 
 def operator_is_order_at_most(op: Callable[[Polynomial], Sequence[Polynomial]],
@@ -470,14 +442,14 @@ def operator_is_order_at_most(op: Callable[[Polynomial], Sequence[Polynomial]],
     return True
 
 
-def validate_symmetric_derivation(d: SymmetricDerivation,
-                                  max_degree: int = 2) -> List[tuple]:
+def validate_symmetric_derivation(d: SymmetricDerivation) -> List[tuple]:
     """Independent checks on a claimed derivation; empty list means clean.
 
     Checks: (a) the Leibniz constraint on every relation row of Omega^(q)
     and on every ideal multiple of a generator; (b) the induced operator
-    h |-> D(expansion of h) has differential order <= q+1; (c) the two
-    expansion routes agree on low-degree monomials."""
+    h |-> D(expansion of h) has differential order <= q+1 on monomials of
+    degree <= 2; (c) the two expansion routes agree on monomials of degree
+    <= 3."""
     from .presentations import element_is_zero, normalize_element
 
     ring = d.ring
@@ -495,9 +467,9 @@ def validate_symmetric_derivation(d: SymmetricDerivation,
                 ("relation", i, normalize_element(d.sym, value)))
     def induced(h):
         return apply_derivation(d, delta_expand(h, ring, d.q))
-    if not operator_is_order_at_most(induced, ring, d.q + 1, max_degree):
+    if not operator_is_order_at_most(induced, ring, d.q + 1, 2):
         problems.append(("order", d.q + 1))
-    for exps in _exponent_vectors(len(ring.variables), max_degree + 1, 1):
+    for exps in _exponent_vectors(len(ring.variables), 3, 1):
         mono = Polynomial.monomial(ring.variables, exps)
         if delta_expand(mono, ring, d.q) != \
                 delta_expand_via_products(mono, ring, d.q):
@@ -521,22 +493,15 @@ def beta_to_sym(d: SymmetricDerivation) -> ModuleMap:
     return ModuleMap(jets, d.sym, tuple(cols))
 
 
-def splitting_t(ring: RingSpec, derivation: Optional[SymmetricDerivation] = None
-                ) -> ModuleMap:
-    """Retraction t: Omega^(2) -> S^2(Omega^1) with t(iota(s)) = 2 s,
-    built from a symmetric derivation (default: zero generator images)."""
-    if derivation is None:
-        omega = omega_presentation(ring, 1)
-        derivation = _zero_derivation(ring, 1, omega, symmetric_square(omega))
+def splitting_t(derivation: SymmetricDerivation) -> ModuleMap:
+    """Retraction t = D∘theta: Omega^(2) -> S^2(Omega^1), t(iota(s)) = 2 s,
+    where theta: Omega^(2) -> Omega^1 is theta_to_first and D the given
+    first-order symmetric derivation."""
     if derivation.q != 1:
         raise ValueError("the retraction needs a first-order derivation")
-    source = omega_presentation(ring, 2)
-    cols = []
-    for alpha in DeltaBasis(ring, 2).monomials:
-        mono = Polynomial.monomial(ring.variables, alpha)
-        cols.append(apply_derivation(derivation,
-                                     delta_expand(mono, ring, 1)))
-    return ModuleMap(source, derivation.sym, tuple(cols))
+    theta = theta_to_first(derivation.ring, 2)
+    return ModuleMap(theta.source, derivation.sym, tuple(
+        apply_derivation(derivation, col) for col in theta.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -562,24 +527,16 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     sym = symmetric_square(omega)
     nsym = sym.ngens
     pair = _pair_index(omega.ngens)
-    basis = DeltaBasis(ring, q)
 
     # raw Leibniz part of each relation row, never reduced modulo I: over
     # the plain polynomial ring nf_poly returns at once
     plain = make_ringspec(ring.variables)
     leib_rows: List[List[Polynomial]] = []
     for m in omega.relations:
-        acc = [Polynomial.zero(ring.variables) for _ in range(nsym)]
+        acc = [plain.zero()] * nsym
         for sigma, entry in enumerate(m):
-            if entry.is_zero():
-                continue
-            raw = _back_substitute(dict(shift_components(entry, q)), plain, q, 1)
-            for pos, eta in enumerate(basis.monomials):
-                c = raw[eta]
-                if c.is_zero():
-                    continue
-                idx = pair[(min(pos, sigma), max(pos, sigma))]
-                acc[idx] = acc[idx] + c
+            if not entry.is_zero():
+                _add_sym(acc, pair, delta_expand(entry, plain, q), sigma)
         leib_rows.append(acc)
 
     row_degrees = _row_degrees(omega.relations, omega.degrees, ring)

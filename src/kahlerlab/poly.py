@@ -10,9 +10,10 @@ expansions) is built on four things provided here:
 * exact ring arithmetic in canonical form,
 * graded reverse-lex monomial orders, by total or weighted degree,
 * iterated partial derivatives,
-* the Taylor components d^gamma h / gamma! of h(x+u) - h(x) with all
-  u-degrees > q deleted, which is the coordinate form of 1 (x) h - h (x) 1
-  modulo the (q+1)-st power of the diagonal ideal.
+* the Taylor components d^gamma h / gamma! of h(x+u) mod (u)^(q+1), the
+  constant component gamma = 0 included; the others are the coordinate
+  form of 1 (x) h - h (x) 1 modulo the (q+1)-st power of the diagonal
+  ideal.
 
 The canonical text rendering (descending terms under the active order,
 explicit ``*`` and ``^``, e.g. ``-3*x^2*y + 2*y``) is the interchange
@@ -340,15 +341,14 @@ def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynom
     return _trusted(h.variables, out)
 
 
-def shift_components(h: Polynomial, q: int,
-                     include_constant: bool = False) -> Dict[ExpVec, Polynomial]:
+def shift_components(h: Polynomial, q: int) -> Dict[ExpVec, Polynomial]:
     """Taylor components of h(x+u) truncated past u-degree q.
 
-    Returns {gamma: d^gamma h / gamma!} for 0 < |gamma| <= q (the constant
-    component gamma = 0, equal to h itself, is included when asked for).
-    This is the exact coefficient table of h(x+u) - h(x) mod (u)^(q+1).
-    Distinct terms of h keep distinct monomials in a component, and each
-    multiplier is a positive product of binomials, so nothing cancels.
+    Returns {gamma: d^gamma h / gamma!} for |gamma| <= q, the exact
+    coefficient table of h(x+u) mod (u)^(q+1); the component gamma = 0 is
+    h itself.  Distinct terms of h keep distinct monomials in a component,
+    and each multiplier is a positive product of binomials, so nothing
+    cancels.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -356,8 +356,7 @@ def shift_components(h: Polynomial, q: int,
     for exps, coeff in h.terms.items():
         ranges = [range(min(e, q) + 1) for e in exps]
         for gamma in product(*ranges):
-            tot = sum(gamma)
-            if tot > q or (tot == 0 and not include_constant):
+            if sum(gamma) > q:
                 continue
             mult = 1
             for e, g in zip(exps, gamma):

@@ -82,10 +82,8 @@ class ModuleMap:
                 raise ValueError("column length does not match target")
 
 
-def free_presentation(ring: RingSpec, labels: Sequence[Label],
-                      degrees: Optional[Sequence[int]] = None) -> Presentation:
-    return Presentation(ring, tuple(labels), (),
-                        None if degrees is None else tuple(degrees))
+def free_presentation(ring: RingSpec, labels: Sequence[Label]) -> Presentation:
+    return Presentation(ring, tuple(labels), ())
 
 
 def zero_presentation(ring: RingSpec) -> Presentation:
@@ -206,19 +204,21 @@ def check_exact(maps: Sequence[ModuleMap]) -> List[bool]:
     """One verdict per junction of a complex ... -> A -> B -> C -> ...
 
     Junction between f: A->B and g: B->C holds when g∘f = 0 and every
-    kernel generator of g lies in the span of f's columns plus B's
-    relations.
+    syzygy of g's columns modulo C's relations lies in the span of f's
+    columns plus B's relations.  Together with B's relations those
+    syzygies span ker g.
     """
     out = []
     for f, g in zip(maps, maps[1:]):
         if f.target != g.source:
             raise ValueError("maps do not form a complex")
         composite_zero = is_zero_map(compose(g, f))
-        _, incl = kernel(g)
+        ring = g.source.ring
+        syz = syzygies_over_ring(g.columns, g.target.ngens, ring,
+                                 g.target.relations)
         basis = submodule_over_ring((*f.columns, *g.source.relations),
-                                    g.source.ngens, g.source.ring)
-        covered = all(basis.contains(col) for col in incl.columns)
-        out.append(composite_zero and covered)
+                                    g.source.ngens, ring)
+        out.append(composite_zero and all(basis.contains(r) for r in syz))
     return out
 
 
@@ -277,6 +277,15 @@ def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
     return out
 
 
+def _add_sym(out: List[Polynomial], pair_index: Dict[Tuple[int, int], int],
+             row: Sequence[Polynomial], k: int) -> None:
+    """Add sym(row ⊗ e_k), written in the pair coordinates, into out."""
+    for i, coeff in enumerate(row):
+        if not coeff.is_zero():
+            idx = pair_index[(min(i, k), max(i, k))]
+            out[idx] = out[idx] + coeff
+
+
 def symmetric_square(m: Presentation) -> Presentation:
     """S^2(M): generators s(a,b) over unordered pairs of m's generators.
 
@@ -292,12 +301,7 @@ def symmetric_square(m: Presentation) -> Presentation:
     for row in m.relations:
         for k in range(n):
             out = [zero] * len(labels)
-            for i, coeff in enumerate(row):
-                if coeff.is_zero():
-                    continue
-                a, b = min(i, k), max(i, k)
-                idx = pair_index[(a, b)]
-                out[idx] = out[idx] + coeff
+            _add_sym(out, pair_index, row, k)
             rows.append(tuple(out))
     rows = prune_rows(rows, len(labels), m.ring)
     degrees = None

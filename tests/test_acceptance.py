@@ -30,7 +30,7 @@ from kahlerlab.presentations import (
 )
 from kahlerlab.diffmod import (
     DeltaBasis,
-    Found,
+    SymmetricDerivation,
     delta_expand,
     iota_sym_to_omega2,
     jets_of_ring,
@@ -147,7 +147,7 @@ def _exact_split_bundle(ring, derivation):
         list(incl.columns) + list(theta.source.relations),
         theta.source.ngens, ring)
     assert all(span.contains(col) for col in iota.columns)
-    t = splitting_t(ring, derivation)
+    t = splitting_t(derivation)
     assert check_well_defined(t)
     assert verify_splitting(iota, t, Fraction(1, 2))
 
@@ -155,9 +155,9 @@ def _exact_split_bundle(ring, derivation):
 def test_criterion_04_exact_sequence_and_splitting():
     with budget(10):
         out = symmetric_derivation_solve(PLANE, 1)
-        assert isinstance(out, Found)
-        assert all(all(c.is_zero() for c in img) for img in out.derivation.images)
-        _exact_split_bundle(PLANE, out.derivation)
+        assert isinstance(out, SymmetricDerivation)
+        assert all(all(c.is_zero() for c in img) for img in out.images)
+        _exact_split_bundle(PLANE, out)
 
 
 def test_criterion_05_theta_into_jets():
@@ -368,15 +368,16 @@ def test_criterion_08_weighted_ring_pd():
 def test_criterion_09_symmetric_derivation_consistency():
     with budget(120):
         out = symmetric_derivation_solve(PLANE, 1)
-        assert isinstance(out, Found)
-        assert all(all(c.is_zero() for c in img) for img in out.derivation.images)
+        assert isinstance(out, SymmetricDerivation)
+        assert all(all(c.is_zero() for c in img) for img in out.images)
         for name in ("cusp", "ex316"):
-            found = isinstance(symmetric_derivation_solve(CORPUS[name], 1), Found)
+            found = isinstance(symmetric_derivation_solve(CORPUS[name], 1),
+                               SymmetricDerivation)
             assert found == symmetric_derivation_oracle(CORPUS[name], 1)
         for name, ring in CORPUS.items():
             got = symmetric_derivation_solve(ring, 1)
-            if isinstance(got, Found):
-                _exact_split_bundle(ring, got.derivation)
+            if isinstance(got, SymmetricDerivation):
+                _exact_split_bundle(ring, got)
 
 
 def test_criterion_09_unweighted_graded_rings_at_q2():
@@ -385,7 +386,8 @@ def test_criterion_09_unweighted_graded_rings_at_q2():
         for text in ("vars = [x, y]; ideal = [x*y];",
                      "vars = [x, y, z]; ideal = [x*y - z^2];"):
             ring = parse_ringspec(text)
-            found = isinstance(symmetric_derivation_solve(ring, 2), Found)
+            found = isinstance(symmetric_derivation_solve(ring, 2),
+                               SymmetricDerivation)
             assert found == symmetric_derivation_oracle(ring, 2)
 
 

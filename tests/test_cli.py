@@ -354,3 +354,30 @@ def test_jets_of_omega_q2_on_ex316_matches_recorded_stdout(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "85fb86542e7ed3e089d6371d26cb1e267ca438b47dbecab8c264d6618b7557bb")
+
+
+# Requests outside perfbench/expected.json whose stdout the symmetric
+# square, the derivation solver and the split sequence decide.
+RECORDED_STDOUT = {
+    "iota --ring poly2":
+        "348de8607ef1d00128b0ef1ded54d0e5ad755960307fa2f8a75aa301f43735a7",
+    "iota --ring poly3":
+        "f54e36fffcd15ecdda80baad842d895d572133ed430e4d97f5731e64fccfc491",
+    "iota --ring cusp":
+        "8336bd717724a09dfc933fdceff2d2fcd08b5906f9cbab2ca1e491b538505047",
+    "iota --ring ex316":
+        "f8f9f166b993a71e2c07d1332f9efb409366487d59f432f797922552c03662f7",
+    "split --ring poly2":
+        "2384541444c45c4e5ff376617ec5d0053c2b5ccd8b95f3968423441a088bc885",
+    "symderiv --ring poly2":
+        "7e0db3f81ae44987ce293aee5788b666f9ed8d4deb95fd0f1fdb7e37c74de096",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(RECORDED_STDOUT))
+def test_split_layer_requests_match_recorded_stdout(capsys, request_):
+    *argv, name = request_.split()
+    code, out, _ = run(capsys, argv + [
+        str(REPO / "src" / "kahlerlab" / "corpus" / (name + ".ring"))])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[request_]

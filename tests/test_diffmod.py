@@ -2,7 +2,10 @@
 symmetric derivations.  Expected matrices/rows below were computed by hand
 from the defining expansions and serve as frozen references."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -11,7 +14,8 @@ from kahlerlab.parser import (
     parse_poly,
     parse_ringspec,
 )
-from kahlerlab.poly import Polynomial
+from kahlerlab.groebner import NoSolution, nf_poly
+from kahlerlab.poly import Polynomial, shift_components
 from kahlerlab.presentations import (
     apply_map,
     check_well_defined,
@@ -27,8 +31,8 @@ from kahlerlab.presentations import (
 )
 from kahlerlab.diffmod import (
     DeltaBasis,
-    Found,
-    NotFound,
+    SymmetricDerivation,
+    _back_substitute,
     apply_derivation,
     beta_to_sym,
     delta_expand,
@@ -54,6 +58,9 @@ CUSP = parse_ringspec(
 # homogeneous for the grading of weight 1 per variable, no weights declared
 CROSS = parse_ringspec("vars = [x, y]; ideal = [x*y];")
 CONE = parse_ringspec("vars = [x, y, z]; ideal = [x*y - z^2];")
+EX316 = parse_ringspec(
+    "vars = [x, y, z]; weights = [4, 5, 6]; "
+    "ideal = [y^2 - x*z, z^2 - x^3]; assume_domain = true;")
 
 
 def p(text, ring=PLANE):
@@ -104,8 +111,6 @@ def test_delta_expand_first_order_is_gradient():
 
 
 def test_delta_expand_agrees_with_product_rule_route():
-    import random
-
     rng = random.Random(5)
     for ring in (PLANE, CUSP, LINE):
         for q in (1, 2):
@@ -115,6 +120,39 @@ def test_delta_expand_agrees_with_product_rule_route():
                 h = Polynomial.monomial(ring.variables, exps)
                 assert delta_expand(h, ring, q) == \
                     delta_expand_via_products(h, ring, q)
+
+
+@pytest.mark.parametrize("ring", [PLANE, CUSP, EX316],
+                         ids=["plane", "cusp", "ex316"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_back_substitute_inverts_the_taylor_table(ring, q):
+    # re-expanding the coordinates, sum over gamma >= eta of
+    # C(gamma,eta) x^(gamma-eta) c_gamma, gives the table back modulo I at
+    # every slot |eta| >= 1; the constant slot feeds none of them
+    rng = random.Random(8800 + 10 * q + len(ring.variables))
+    n = len(ring.variables)
+    slots = [e for e in product(range(q + 1), repeat=n) if 1 <= sum(e) <= q]
+    for _ in range(20):
+        h = Polynomial(ring.variables, {
+            tuple(rng.randrange(4) for _ in range(n)):
+                Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
+            for _ in range(rng.randrange(1, 5))})
+        table = shift_components(h, q)
+        coords = _back_substitute(dict(table), ring, q)
+        for eta in slots:
+            acc = -table.get(eta, ring.zero())
+            for gamma in slots:
+                if all(g >= e for g, e in zip(gamma, eta)):
+                    mult = prod(comb(g, e) for g, e in zip(gamma, eta))
+                    shift = tuple(g - e for g, e in zip(gamma, eta))
+                    acc += Polynomial.monomial(ring.variables, shift,
+                                               mult) * coords[gamma]
+            assert nf_poly(acc, ring).is_zero(), (h, eta)
+        table[(0,) * n] = Polynomial.monomial(
+            ring.variables, tuple(rng.randrange(4) for _ in range(n)),
+            rng.randrange(1, 9))
+        moved = _back_substitute(table, ring, q)
+        assert all(moved[g] == coords[g] for g in slots), h
 
 
 def test_delta_expand_is_order_q():
@@ -288,7 +326,7 @@ def test_theta_after_iota_vanishes():
 
 def test_splitting_t_retracts_iota():
     iota = iota_sym_to_omega2(PLANE)
-    t = splitting_t(PLANE)
+    t = splitting_t(symmetric_derivation_solve(PLANE, 1))
     assert check_well_defined(t)
     assert verify_splitting(iota, t, Fraction(1, 2))
 
@@ -323,16 +361,14 @@ def test_jets_of_ring_isomorphism_cusp():
 
 
 def test_symmetric_derivation_free_case():
-    out = symmetric_derivation_solve(PLANE, 1)
-    assert isinstance(out, Found)
-    d = out.derivation
+    d = symmetric_derivation_solve(PLANE, 1)
+    assert isinstance(d, SymmetricDerivation)
     assert all(all(c.is_zero() for c in img) for img in d.images)
     assert validate_symmetric_derivation(d) == []
 
 
 def test_apply_derivation_leibniz_value():
-    out = symmetric_derivation_solve(PLANE, 1)
-    d = out.derivation
+    d = symmetric_derivation_solve(PLANE, 1)
     # D(x * d1(x)) = s(d1(x), d1(x)) when D kills the generators
     value = apply_derivation(d, (p("x"), p("0")))
     assert value == row(["1", "0", "0"])
@@ -343,31 +379,36 @@ def test_apply_derivation_leibniz_value():
 
 def test_symmetric_derivation_verdicts_agree_with_oracle():
     for ring in (PLANE, LINE, CUSP, CROSS, CONE):
-        found = isinstance(symmetric_derivation_solve(ring, 1), Found)
+        found = isinstance(symmetric_derivation_solve(ring, 1),
+                           SymmetricDerivation)
         assert found == symmetric_derivation_oracle(ring, 1)
 
 
 def test_validator_flags_broken_derivation():
     out = symmetric_derivation_solve(CUSP, 1)
-    if isinstance(out, NotFound):
-        # fabricate a wrong derivation: zero images cannot satisfy the
-        # constraint forced by the cusp relation
-        zero = symmetric_derivation_solve(PLANE, 1).derivation
-        from kahlerlab.diffmod import SymmetricDerivation
-        omega = omega_presentation(CUSP, 1)
-        sym = symmetric_square(omega)
-        fake = SymmetricDerivation(
-            CUSP, 1, omega, sym,
-            tuple(sym.zero_row() for _ in range(omega.ngens)))
-        assert validate_symmetric_derivation(fake) != []
+    assert out == NoSolution(row(["6*x", "0", "-2"], CUSP))
+    # fabricate a wrong derivation: zero images cannot satisfy the
+    # constraint forced by the cusp relation
+    omega = omega_presentation(CUSP, 1)
+    sym = symmetric_square(omega)
+    fake = SymmetricDerivation(
+        CUSP, 1, omega, sym,
+        tuple(sym.zero_row() for _ in range(omega.ngens)))
+    assert validate_symmetric_derivation(fake) != []
+
+
+def test_solver_certificate_on_ex316():
+    residual = ["0"] * 12
+    residual[2], residual[3], residual[6], residual[11] = "2", "-2", "6*x", "-2"
+    assert symmetric_derivation_solve(EX316, 1) == \
+        NoSolution(row(residual, EX316))
 
 
 def test_beta_to_sym_factors_through_jets():
-    out = symmetric_derivation_solve(PLANE, 1)
-    beta = beta_to_sym(out.derivation)
+    d = symmetric_derivation_solve(PLANE, 1)
+    beta = beta_to_sym(d)
     assert beta.source.ngens == 6  # J_1(Omega^1) over the plane
     assert check_well_defined(beta)
     # beta composed with the jet of a generator recovers D + Leibniz part
-    d = out.derivation
     value = apply_map(beta, jet_expand(p("x"), PLANE, 1, 0, 2))
     assert value == apply_derivation(d, (p("x"), p("0")))

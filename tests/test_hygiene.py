@@ -129,3 +129,87 @@ def test_the_check_sees_an_unchecked_division():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_true_divisions_are_exact(path):
     assert _unchecked_divisions(path.name, path.read_text()) == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted_params(tree):
+    """(function name, parameter name, positional index or None) for each
+    parameter with a default of each function or method in tree.  A
+    method's index skips self or cls; __init__ is called by its class."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = cls if child.name == "__init__" and cls else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    out.append((name, positional[i].arg, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((name, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _never_passed(defining, calling):
+    """(function, parameter) of each defaulted parameter of a function in
+    the `defining` sources that no call, matched by name, in the `calling`
+    sources passes by keyword or by position."""
+    calls = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
+    unused = []
+    for source in defining:
+        for func, param, index in _defaulted_params(ast.parse(source)):
+            if not any(_passes(call, param, index)
+                       for call in calls.get(func, ())):
+                unused.append((func, param))
+    return unused
+
+
+def _passes(call, param, index):
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_the_check_sees_a_parameter_never_passed():
+    source = ("def f(a, b=1, *, c=2):\n    pass\n\n"
+              "class K:\n    def __init__(self, d=3):\n        pass\n"
+              "    def m(self, e=4, g=5):\n        pass\n\n"
+              "f(0, 2)\nK()\nk.m(g=1)\n")
+    assert _never_passed([source], [source]) == [
+        ("f", "c"), ("K", "d"), ("m", "e")]
+
+
+def test_every_defaulted_parameter_is_passed():
+    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    calling = defining + [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert _never_passed(defining, calling) == []

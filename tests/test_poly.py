@@ -185,7 +185,7 @@ def test_fast_path_matches_the_fraction_reference():
             (partial_derivative(a, 0), _ref_derivative(ra, 0, 1)),
             (partial_derivative(a, 1, 2), _ref_derivative(ra, 1, 2)),
         ]
-        table = shift_components(a, 2, include_constant=True)
+        table = shift_components(a, 2)
         for g in [(i, j) for i in range(3) for j in range(3 - i)]:
             checks.append((table.get(g, Polynomial.zero(XY)), _ref_taylor(ra, g)))
         for got, want in checks:
@@ -212,11 +212,10 @@ def test_partial_derivative_and_taylor():
 def test_shift_components_table():
     h = P({(3, 0): 1})  # x^3
     table = shift_components(h, 2)
-    assert set(table) == {(1, 0), (2, 0)}
+    assert set(table) == {(0, 0), (1, 0), (2, 0)}
+    assert table[(0, 0)] == h
     assert table[(1, 0)] == P({(2, 0): 3})
     assert table[(2, 0)] == P({(1, 0): 3})
-    with_const = shift_components(h, 2, include_constant=True)
-    assert with_const[(0, 0)] == h
 
 
 def test_doubled_variables_avoid_collisions():
