@@ -11,20 +11,21 @@ canonical checks, and emit deterministic reports::
     verify-paper               the full verification table over a corpus
 
 Exit codes: 0 success, 1 mathematical check failure (verify-paper
-mismatch, solver/oracle disagreement), 2 input error.  Timing goes to
-stderr so stdout stays byte-identical across repeated runs.
+mismatch, solver/oracle disagreement), 2 input error, such as a ring file
+or --basis nested more than parser.NESTING_LIMIT brackets deep.  Timing
+goes to stderr so stdout stays byte-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import format_polynomial
@@ -192,18 +193,6 @@ def _select_module(ring: RingSpec, q: int, selector: str) -> Presentation:
 
 def _bool_text(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _envelope(command: str, request: dict, result) -> str:
-    doc = {"command": command, "request": request, "result": result,
-           "seed": 0}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args, request: dict, text: str, document) -> str:
-    if args.format == "text":
-        return text
-    return _envelope(args.command, request, document)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +446,13 @@ _VERIFY_ITEMS = (
 
 
 def _load_corpus(corpus_dir: Optional[str]) -> Dict[str, RingSpec]:
+    root = resources.files("kahlerlab").joinpath("corpus") \
+        if corpus_dir is None else Path(corpus_dir)
     rings: Dict[str, RingSpec] = {}
     for name in _CORPUS_NAMES:
-        if corpus_dir is None:
-            res = resources.files("kahlerlab").joinpath(
-                "corpus/%s.ring" % name)
-            if res.is_file():
-                rings[name] = parse_ringspec(res.read_text())
-        else:
-            path = os.path.join(corpus_dir, name + ".ring")
-            if os.path.exists(path):
-                rings[name] = _load_ring(path)
+        path = root.joinpath(name + ".ring")
+        if path.is_file():
+            rings[name] = parse_ringspec(path.read_text())
     return rings
 
 
@@ -514,52 +499,38 @@ def _verify_text(items, counts, warnings) -> str:
 # dispatch
 
 
-def _dispatch(args) -> Tuple[str, int]:
+def _dispatch(args) -> Tuple[str, object, int]:
+    """The text payload, the structured result and the exit code."""
     command = args.command
     if command == "verify-paper":
         items, counts, warnings = _run_verify(args.corpus, args.cases)
-        request = {"corpus": args.corpus or "shipped", "cases": args.cases}
         result = {"items": items, "passed": counts["PASS"],
                   "failed": counts["FAIL"], "skipped": counts["SKIP"],
                   "warnings": warnings}
-        text = _verify_text(items, counts, warnings)
-        return (_emit(args, request, text, result),
+        return (_verify_text(items, counts, warnings), result,
                 1 if counts["FAIL"] else 0)
 
     ring = _load_ring(args.ring)
-    request = {"ring": args.ring}
 
-    if command == "omega":
-        request["q"] = args.q
-        basis = None
-        if args.basis is not None:
-            request["basis"] = args.basis
-            basis = _parse_basis(args.basis, ring)
-        m = omega_presentation(ring, args.q, basis=basis)
-        return _emit(args, request, presentation_text(m),
-                     presentation_document(m)), 0
+    if command in ("omega", "jets", "sym2"):
+        if command == "omega":
+            basis = None if args.basis is None \
+                else _parse_basis(args.basis, ring)
+            m = omega_presentation(ring, args.q, basis)
+        else:
+            selector = "jets:" + args.module if command == "jets" \
+                else "sym2:omega"
+            m = _select_module(ring, args.q, selector)
+        return presentation_text(m), presentation_document(m), 0
 
-    if command == "jets":
-        request.update(q=args.q, module=args.module)
-        m = _select_module(ring, args.q, "jets:" + args.module)
-        return _emit(args, request, presentation_text(m),
-                     presentation_document(m)), 0
-
-    if command == "sym2":
-        request["q"] = args.q
-        m = symmetric_square(omega_presentation(ring, args.q))
-        return _emit(args, request, presentation_text(m),
-                     presentation_document(m)), 0
-
-    if command == "theta":
-        request.update(q=args.q, target=args.target)
-        phi = theta_to_first(ring, args.q) if args.target == "first" \
-            else theta_to_jets(ring, args.q)
-        return _emit(args, request, map_text(phi), map_document(phi)), 0
-
-    if command == "iota":
-        phi = iota_sym_to_omega2(ring)
-        return _emit(args, request, map_text(phi), map_document(phi)), 0
+    if command in ("theta", "iota"):
+        if command == "iota":
+            phi = iota_sym_to_omega2(ring)
+        elif args.target == "first":
+            phi = theta_to_first(ring, args.q)
+        else:
+            phi = theta_to_jets(ring, args.q)
+        return map_text(phi), map_document(phi), 0
 
     if command == "split":
         out = symmetric_derivation_solve(ring, 1)
@@ -571,43 +542,35 @@ def _dispatch(args) -> Tuple[str, int]:
                 % (_bool_text(result["derivation_found"]),
                    ", ".join(_bool_text(v) for v in exact),
                    _bool_text(splitting)))
-        return _emit(args, request, text, result), 0
+        return text, result, 0
 
     if command == "symderiv":
-        request.update(q=args.q, degree_bound=args.degree_bound)
-        out = symmetric_derivation_solve(ring, args.q)
-        found = isinstance(out, SymmetricDerivation)
-        oracle = symmetric_derivation_oracle(ring, args.q,
-                                             args.degree_bound)
-        agrees = found == oracle
+        found = isinstance(symmetric_derivation_solve(ring, args.q),
+                           SymmetricDerivation)
+        agrees = found == symmetric_derivation_oracle(ring, args.q,
+                                                      args.degree_bound)
         result = {"verdict": "found" if found else "not_found",
                   "oracle_agrees": agrees}
         text = ("verdict = %s;\noracle_agrees = %s;\n"
                 % (result["verdict"], _bool_text(agrees)))
-        return _emit(args, request, text, result), 0 if agrees else 1
-
-    if command in ("resolve", "pd", "rank"):
-        request.update(q=args.q, module=args.module)
-        m = _select_module(ring, args.q, args.module)
-        if command == "resolve":
-            request["cutoff"] = args.cutoff
-            r = free_resolution(m, args.cutoff)
-            return _emit(args, request, resolution_text(r),
-                         resolution_document(r)), 0
-        if command == "pd":
-            request["cutoff"] = args.cutoff
-            verdict = projective_dimension(m, args.cutoff)
-            result = {"pd": str(verdict), "value": verdict.value,
-                      "finite": isinstance(verdict, Finite)}
-            return _emit(args, request, str(verdict) + "\n", result), 0
-        value = rank(m)
-        return _emit(args, request, "rank = %d\n" % value,
-                     {"rank": value}), 0
+        return text, result, 0 if agrees else 1
 
     if command == "regular":
         value = jacobian_regular(ring)
-        return _emit(args, request, "regular = %s\n" % _bool_text(value),
-                     {"regular": value}), 0
+        return "regular = %s\n" % _bool_text(value), {"regular": value}, 0
+
+    if command in ("resolve", "pd", "rank"):
+        m = _select_module(ring, args.q, args.module)
+        if command == "resolve":
+            r = free_resolution(m, args.cutoff)
+            return resolution_text(r), resolution_document(r), 0
+        if command == "pd":
+            verdict = projective_dimension(m, args.cutoff)
+            result = {"pd": str(verdict), "value": verdict.value,
+                      "finite": isinstance(verdict, Finite)}
+            return str(verdict) + "\n", result, 0
+        value = rank(m)
+        return "rank = %d\n" % value, {"rank": value}, 0
 
     raise ValueError("unknown command %r" % command)
 
@@ -619,14 +582,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not e.code else 2
     start = time.perf_counter()
     try:
-        payload, code = _dispatch(args)
+        text, result, code = _dispatch(args)
     except (RingParseError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     finally:
         print("elapsed: %.3fs" % (time.perf_counter() - start),
               file=sys.stderr)
-    sys.stdout.write(payload)
+    if args.format == "structured":
+        # the request echoes every parsed option that has a value
+        request = {key: value for key, value in vars(args).items()
+                   if key not in ("command", "format") and value is not None}
+        if args.command == "verify-paper":
+            request["corpus"] = args.corpus or "shipped"
+        text = json.dumps({"command": args.command, "request": request,
+                           "result": result, "seed": 0},
+                          indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
     return code
 
 

@@ -69,7 +69,6 @@ class DeltaBasis:
         self.ring = ring
         self.q = q
         self.monomials: Tuple[ExpVec, ...] = tuple(monomials)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
 
     def labels(self) -> Tuple[DeltaLabel, ...]:
         return tuple(DeltaLabel(self.q, m, self.ring.variables)
@@ -219,21 +218,14 @@ def _omega_rows(ring: RingSpec, q: int, basis: DeltaBasis) -> List[FreeElement]:
     return rows
 
 
+@lru_cache(maxsize=None)
 def omega_presentation(ring: RingSpec, q: int,
-                       basis: Optional[Sequence[ExpVec]] = None) -> Presentation:
+                       basis: Optional[Tuple[ExpVec, ...]] = None) -> Presentation:
     """Presentation of Omega^(q)(R): generators d_q(x^alpha), relations the
     expansions of x^beta * f over all ideal generators f and |beta| < q,
-    pruned to a generating subset."""
-    if basis is None:
-        return _omega_default(ring, q)
+    pruned to a generating subset.  `basis`, a tuple because it is part of
+    the cache key, reorders the generators."""
     db = DeltaBasis(ring, q, basis)
-    rows = prune_rows(_omega_rows(ring, q, db), len(db.monomials), ring)
-    return Presentation(ring, db.labels(), tuple(rows), db.degrees())
-
-
-@lru_cache(maxsize=None)
-def _omega_default(ring: RingSpec, q: int) -> Presentation:
-    db = DeltaBasis(ring, q)
     rows = prune_rows(_omega_rows(ring, q, db), len(db.monomials), ring)
     return Presentation(ring, db.labels(), tuple(rows), db.degrees())
 

@@ -180,11 +180,15 @@ class SymLabel(Label):
 # tokenizer
 
 _SYMBOLS = "=;,[]()+-*^/"
+# The recursive-descent parser spends about four Python frames per level
+# of ( or [, so deeper input would exhaust the interpreter's stack.
+NESTING_LIMIT = 100
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
     tokens = []
     line, col = 1, 1
+    depth = 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -218,6 +222,13 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
             i = j
             continue
         if ch in _SYMBOLS:
+            if ch in "([":
+                depth += 1
+                if depth > NESTING_LIMIT:
+                    raise RingParseError("nesting deeper than %d levels"
+                                         % NESTING_LIMIT, line, col)
+            elif ch in ")]":
+                depth -= 1
             tokens.append((ch, ch, line, col))
             i += 1
             col += 1

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (run in-process)."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import _load_corpus, main
+from kahlerlab.cli import _build_parser, _load_corpus, main
 from kahlerlab.parser import parse_presentation_doc
 
 CUSP_TEXT = """\
@@ -245,6 +246,17 @@ def test_exponent_overflow_is_a_parse_error(capsys, tmp_path, ideal, column,
             % (exponent, column)) in err
 
 
+def test_deep_nesting_is_an_input_error(capsys, tmp_path, cusp_file):
+    path = tmp_path / "deep.ring"
+    path.write_text("vars = [x];\nideal = [%sx%s];\n" % ("(" * 250, ")" * 250))
+    deep_basis = "(" * 300 + "x" + ")" * 300 + ",y"
+    for argv in (["regular", "--ring", str(path)],
+                 ["omega", "--ring", cusp_file, "--basis", deep_basis]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "nesting" in err
+
+
 def test_corpus_files_are_closed(tmp_path):
     (tmp_path / "poly1.ring").write_text("vars = [x];\nideal = [];\n")
     (tmp_path / "poly2.ring").write_text(PLANE_TEXT)
@@ -381,3 +393,85 @@ def test_split_layer_requests_match_recorded_stdout(capsys, request_):
         str(REPO / "src" / "kahlerlab" / "corpus" / (name + ".ring"))])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[request_]
+
+
+# Structured envelopes recorded when each command still wrote its request
+# echo by hand; run from the repository root, so the echoed paths are
+# relative.
+RECORDED_ENVELOPES = {
+    "omega -q 1 --ring src/kahlerlab/corpus/cusp.ring":
+        "2b18227c0992f8661002e813f4fe5864703924163119bcc96826872a94c92924",
+    "omega -q 2 --basis x^2,y^2,x*y,x,y --ring src/kahlerlab/corpus/cusp.ring":
+        "fcbf9f6f4def614b2e311a92aa1230928099fa6f448be0162731ba4f18647361",
+    "jets -q 1 --module omega --ring src/kahlerlab/corpus/cusp.ring":
+        "21820b7e509771846784ae87cc1fe690ced2bcb03de6c336fd86a0dd20e2ed7b",
+    "sym2 -q 1 --ring src/kahlerlab/corpus/ex316.ring":
+        "c3e0601b58d415906a1b764bb8aba011c8f896a99f78ce98e3f53c5666d4ef15",
+    "theta -q 1 --target jets --ring src/kahlerlab/corpus/poly2.ring":
+        "54d46ce2a92fe6fb9682184568a63fcf236ddd6125f1e04980a0fa646db26cf7",
+    "iota --ring src/kahlerlab/corpus/cusp.ring":
+        "7aa07db4ab4782f5f79021cae4fc51bd31e6bb5a8c4cd73441b62e22f1783b09",
+    "split --ring src/kahlerlab/corpus/cusp.ring":
+        "f6ce36691a5f50354dbeda7eb4de763eb54c64311116edda8db4a211bd551035",
+    "symderiv --ring src/kahlerlab/corpus/ex316.ring":
+        "9595b299bc4d44a0f1bf24dbc470d1a76a449113594444241d220fdac51d707d",
+    "resolve -q 1 --module omega --ring src/kahlerlab/corpus/cusp.ring":
+        "24bae1915c401c818c7309d26161449f0990810709af8b0f59de318aa1cfb1e1",
+    "pd -q 2 --module omega --ring src/kahlerlab/corpus/ex316.ring":
+        "4a7fc70903f4dc3b81de7225d6cec71ef2e78af4ef84c1b846301f703a07b0bb",
+    "rank -q 1 --module sym2:omega --ring src/kahlerlab/corpus/ex316.ring":
+        "94dbee899610ae4349596e28eada71b77fba9543ff9fcbd8d6c999385d12463c",
+    "regular --ring src/kahlerlab/corpus/cusp.ring":
+        "cd8e9ff37e076a2ad3c196429650c5cf0596154540786fd1e55bb87939b612b9",
+    "verify-paper --cases 5":
+        "8fec57b4bb4a921a01af10406e2ebc04eb38b36a511a2fac4f8e38ecb00357bc",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(RECORDED_ENVELOPES))
+def test_structured_envelope_matches_recording(capsys, monkeypatch, request_):
+    monkeypatch.chdir(REPO)
+    code, out, _ = run(capsys, request_.split() + ["--format", "structured"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        RECORDED_ENVELOPES[request_]
+
+
+def test_every_command_has_a_recorded_envelope():
+    sub, = (a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert {r.split()[0] for r in RECORDED_ENVELOPES} == set(sub.choices)
+
+
+@pytest.mark.parametrize("request_, keys", [
+    ("omega", {"ring", "q"}),
+    ("omega --basis y,x", {"ring", "q", "basis"}),
+    ("jets", {"ring", "q", "module"}),
+    ("sym2", {"ring", "q"}),
+    ("theta", {"ring", "q", "target"}),
+    ("iota", {"ring"}),
+    ("split", {"ring"}),
+    ("regular", {"ring"}),
+    ("symderiv", {"ring", "q", "degree_bound"}),
+    ("resolve", {"ring", "q", "module", "cutoff"}),
+    ("pd", {"ring", "q", "module", "cutoff"}),
+    ("rank", {"ring", "q", "module"}),
+])
+def test_request_echo_names_the_parsed_options(capsys, plane_file, request_,
+                                               keys):
+    code, out, _ = run(capsys, request_.split() + [
+        "--ring", plane_file, "--format", "structured"])
+    assert code == 0
+    request = json.loads(out)["request"]
+    assert set(request) == keys
+    assert request["ring"] == plane_file
+
+
+def test_verify_paper_request_echo(capsys, tmp_path):
+    (tmp_path / "poly1.ring").write_text("vars = [x];\nideal = [];\n")
+    for extra, corpus in ((["--corpus", str(tmp_path)], str(tmp_path)),
+                          ([], "shipped")):
+        code, out, _ = run(capsys, ["verify-paper", "--cases", "1",
+                                    "--format", "structured"] + extra)
+        assert code == 0
+        assert json.loads(out)["request"] == {"corpus": corpus, "cases": 1}

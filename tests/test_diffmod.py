@@ -203,6 +203,12 @@ def test_cusp_second_order_relation_matrix():
     assert nf_poly(diff, CUSP).is_zero()
 
 
+def test_omega_presentation_is_cached_per_basis():
+    m = omega_presentation(CUSP, 2, basis=PAPER_BASIS)
+    assert omega_presentation(CUSP, 2, basis=tuple(list(PAPER_BASIS))) is m
+    assert omega_presentation(CUSP, 2) != m
+
+
 def _fmt(c):
     from kahlerlab.poly import format_polynomial
     return format_polynomial(c, CUSP.order())

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kahlerlab.parser import (
+    NESTING_LIMIT,
     DeltaLabel,
     JetLabel,
     PlainLabel,
@@ -104,6 +105,19 @@ def test_parse_poly_rejects_malformed_input():
     for bad in ("x^^2", "x +", "2x", "x*", "(x", "x)", "z", "x^y", "", "x//2"):
         with pytest.raises(RingParseError):
             parse_poly(bad, ring)
+
+
+def test_nesting_limit_is_an_input_error():
+    # the [ of "ideal = [" is one level, so NESTING_LIMIT - 1 parentheses
+    # fill the limit exactly and one more goes past it
+    def ring_text(parens):
+        return "vars = [x];\nideal = [%sx%s];\n" % ("(" * parens,
+                                                   ")" * parens)
+    ring = parse_ringspec(ring_text(NESTING_LIMIT - 1))
+    assert ring.ideal == (parse_poly("x", ring),)
+    with pytest.raises(RingParseError, match="nesting") as err:
+        parse_ringspec(ring_text(NESTING_LIMIT))
+    assert (err.value.line, err.value.col) == (2, 9 + NESTING_LIMIT)
 
 
 def test_poly_format_round_trip():
