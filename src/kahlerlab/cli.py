@@ -34,12 +34,14 @@ from .parser import (
     RingSpec,
     map_document,
     map_text,
+    parse_monomials,
     parse_poly,
     parse_ringspec,
     presentation_document,
     presentation_text,
     resolution_document,
     resolution_text,
+    statements_text,
 )
 from .groebner import submodule_over_ring
 from .presentations import (
@@ -166,19 +168,6 @@ def _load_ring(path: str) -> RingSpec:
         return parse_ringspec(fh.read())
 
 
-def _parse_basis(text: str, ring: RingSpec) -> tuple:
-    monomials = []
-    for part in text.split(","):
-        p = parse_poly(part.strip(), ring)
-        if len(p.terms) != 1:
-            raise ValueError("basis entry %r is not a monomial" % part.strip())
-        (exps, coeff), = p.terms.items()
-        if coeff != 1:
-            raise ValueError("basis entry %r has a coefficient" % part.strip())
-        monomials.append(exps)
-    return tuple(monomials)
-
-
 def _select_module(ring: RingSpec, q: int, selector: str) -> Presentation:
     if selector == "omega":
         return omega_presentation(ring, q)
@@ -189,10 +178,6 @@ def _select_module(ring: RingSpec, q: int, selector: str) -> Presentation:
     if selector == "jets:ring":
         return jq_presentation(ring_as_module(ring), q)
     raise ValueError("unknown module selector %r" % selector)
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +500,7 @@ def _dispatch(args) -> Tuple[str, object, int]:
     if command in ("omega", "jets", "sym2"):
         if command == "omega":
             basis = None if args.basis is None \
-                else _parse_basis(args.basis, ring)
+                else parse_monomials(args.basis, ring)
             m = omega_presentation(ring, args.q, basis)
         else:
             selector = "jets:" + args.module if command == "jets" \
@@ -538,11 +523,7 @@ def _dispatch(args) -> Tuple[str, object, int]:
         exact, splitting = _split_sequence(ring, derivation)
         result = {"derivation_found": derivation is not None,
                   "exact": exact, "splitting": splitting}
-        text = ("derivation_found = %s;\nexact = [%s];\nsplitting = %s;\n"
-                % (_bool_text(result["derivation_found"]),
-                   ", ".join(_bool_text(v) for v in exact),
-                   _bool_text(splitting)))
-        return text, result, 0
+        return statements_text(result.items(), ring.order()), result, 0
 
     if command == "symderiv":
         found = isinstance(symmetric_derivation_solve(ring, args.q),
@@ -551,13 +532,12 @@ def _dispatch(args) -> Tuple[str, object, int]:
                                                       args.degree_bound)
         result = {"verdict": "found" if found else "not_found",
                   "oracle_agrees": agrees}
-        text = ("verdict = %s;\noracle_agrees = %s;\n"
-                % (result["verdict"], _bool_text(agrees)))
-        return text, result, 0 if agrees else 1
+        return (statements_text(result.items(), ring.order()), result,
+                0 if agrees else 1)
 
     if command == "regular":
         value = jacobian_regular(ring)
-        return "regular = %s\n" % _bool_text(value), {"regular": value}, 0
+        return "regular = %s\n" % str(value).lower(), {"regular": value}, 0
 
     if command in ("resolve", "pd", "rank"):
         m = _select_module(ring, args.q, args.module)

@@ -7,10 +7,10 @@ One small grammar serves files and CLI arguments alike:
     ideal = [y^2 - x^3];         # optional, defaults to []
     assume_domain = true;        # optional, defaults to false
 
-Polynomial expressions allow +, -, *, ^, parentheses and rational literals
-like 3/2 -- nothing else.  Presentation documents reuse the same statement
-grammar with two more keys (`generators`, `relations`), so every text
-rendering produced here parses back.
+Input is ASCII.  Polynomial expressions allow +, -, *, ^, parentheses and
+rational literals like 3/2 -- nothing else.  Presentation documents add two
+keys (`generators`, `relations`).  Ring and presentation texts parse back;
+maps and resolutions are written in the same statement syntax.
 
 Generator labels follow a fixed grammar so bases are typeable in tests:
 ``d2(x^2)`` (order-2 differential generator), ``D1[d1(x)](y)`` (jet
@@ -179,62 +179,44 @@ class SymLabel(Label):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = "=;,[]()+-*^/"
 # The recursive-descent parser spends about four Python frames per level
 # of ( or [, so deeper input would exhaust the interpreter's stack.
 NESTING_LIMIT = 100
 
+# Blanks and comments match no named group; `other` is any non-token.
+_TOKEN_RE = re.compile(r"[ \t\r]+|#[^\n]*|(?P<newline>\n)|(?P<number>[0-9]+)"
+                       r"|(?P<ident>%s)|(?P<symbol>[=;,\[\]()+\-*^/])|(?P<other>.)"
+                       % _IDENT_RE.pattern, re.DOTALL)
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
+    """ASCII text as (kind, text, line, column) tokens closed by an `eof`
+    token; any other character is an error.  A `;` outside every bracket
+    ends a statement: its kind is `end`."""
     tokens = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, depth = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            if ch in "([":
+        value, col = m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("number", "ident"):
+            tokens.append((kind, value, line, col))
+        elif kind == "symbol":
+            if value in "([":
                 depth += 1
                 if depth > NESTING_LIMIT:
                     raise RingParseError("nesting deeper than %d levels"
                                          % NESTING_LIMIT, line, col)
-            elif ch in ")]":
+            elif value in ")]":
                 depth -= 1
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise RingParseError("unexpected character %r" % ch, line, col)
-    tokens.append(("eof", "", line, col))
+            end = value == ";" and depth == 0
+            tokens.append(("end" if end else value, value, line, col))
+        else:
+            raise RingParseError("unexpected character %r" % value, line, col)
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -252,10 +234,10 @@ class _Stream:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: Optional[str] = None):
+    def expect(self, kind: str, what: str):
         tok = self.peek()
         if tok[0] != kind:
-            self.error("expected %s, found %r" % (what or repr(kind), tok[1] or "end of input"))
+            self.error("expected %s, found %r" % (what, tok[1] or "end of input"))
         return self.next()
 
     def at(self, kind: str) -> bool:
@@ -264,6 +246,30 @@ class _Stream:
     def error(self, message: str):
         tok = self.peek()
         raise RingParseError(message, tok[2], tok[3])
+
+
+def _finish(ts: _Stream, parse):
+    """What `parse` reads from the stream, which it must read to the end."""
+    value = parse(ts)
+    if not ts.at("eof"):
+        ts.error("unexpected trailing input %r" % ts.peek()[1])
+    return value
+
+
+def _parse_items(ts: _Stream, item_parser) -> list:
+    """One or more items separated by commas."""
+    items = [item_parser(ts)]
+    while ts.at(","):
+        ts.next()
+        items.append(item_parser(ts))
+    return items
+
+
+def _parse_list(ts: _Stream, item_parser) -> list:
+    ts.expect("[", "'['")
+    items = [] if ts.at("]") else _parse_items(ts, item_parser)
+    ts.expect("]", "']'")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +343,11 @@ def _parse_expr(ts: _Stream, ring: RingSpec) -> Polynomial:
 
 def parse_poly(text: str, ring: RingSpec) -> Polynomial:
     """Parse one polynomial expression over the ring's variables."""
-    ts = _Stream(_tokenize(text))
-    value = _parse_expr(ts, ring)
-    if not ts.at("eof"):
-        ts.error("unexpected trailing input %r" % ts.peek()[1])
-    return value
+    return _finish(_Stream(_tokenize(text)), lambda ts: _parse_expr(ts, ring))
 
 
 # ---------------------------------------------------------------------------
-# labels
+# monomials and labels
 
 
 def _parse_monomial(ts: _Stream, ring: RingSpec) -> ExpVec:
@@ -354,6 +356,12 @@ def _parse_monomial(ts: _Stream, ring: RingSpec) -> ExpVec:
     if len(terms) != 1 or terms[0][1] != 1:
         ts.error("expected a monomial with coefficient 1")
     return terms[0][0]
+
+
+def parse_monomials(text: str, ring: RingSpec) -> Tuple[ExpVec, ...]:
+    """Parse comma-separated monomials with coefficient 1, e.g. "x^2,x*y"."""
+    return tuple(_finish(_Stream(_tokenize(text)), lambda ts: _parse_items(
+        ts, lambda s: _parse_monomial(s, ring))))
 
 
 def _parse_label(ts: _Stream, ring: RingSpec) -> Label:
@@ -385,99 +393,60 @@ def _parse_label(ts: _Stream, ring: RingSpec) -> Label:
 
 
 def parse_label(text: str, ring: RingSpec) -> Label:
-    ts = _Stream(_tokenize(text))
-    label = _parse_label(ts, ring)
-    if not ts.at("eof"):
-        ts.error("unexpected trailing input %r" % ts.peek()[1])
-    return label
+    return _finish(_Stream(_tokenize(text)), lambda ts: _parse_label(ts, ring))
 
 
 # ---------------------------------------------------------------------------
 # statement documents (ring files and presentation documents)
 
 
-def _split_statements(text: str) -> Dict[str, _Stream]:
+def _split_statements(text: str, keys, what: str) -> Dict[str, _Stream]:
+    """One token stream per `name = value;` statement, keyed by name; a
+    name outside `keys` is an error."""
     ts = _Stream(_tokenize(text))
-    chunks: Dict[str, List[Tuple[str, str, int, int]]] = {}
+    chunks: Dict[str, _Stream] = {}
     while not ts.at("eof"):
-        key_tok = ts.expect("ident", "a statement name")
+        key = ts.expect("ident", "a statement name")
         ts.expect("=", "'='")
-        body: List[Tuple[str, str, int, int]] = []
-        depth = 0
-        while True:
-            tok = ts.peek()
-            if tok[0] == "eof":
-                ts.error("missing ';' after %r statement" % key_tok[1])
-            if tok[0] == ";" and depth == 0:
-                ts.next()
-                break
-            if tok[0] in "([":
-                depth += 1
-            elif tok[0] in ")]":
-                depth -= 1
+        body = []
+        while not ts.at("end"):
+            if ts.at("eof"):
+                ts.error("missing ';' after %r statement" % key[1])
             body.append(ts.next())
-        if key_tok[1] in chunks:
-            raise RingParseError("duplicate statement %r" % key_tok[1],
-                                 key_tok[2], key_tok[3])
-        body.append(("eof", "", key_tok[2], key_tok[3]))
-        chunks[key_tok[1]] = _Stream(body)
+        ts.next()
+        if key[1] in chunks:
+            raise RingParseError("duplicate statement %r" % key[1], key[2], key[3])
+        chunks[key[1]] = _Stream(body + [("eof", "", key[2], key[3])])
+    for name in chunks:
+        if name not in keys:
+            raise RingParseError("unknown statement %r in %s" % (name, what))
     return chunks
 
 
-def _parse_list(ts: _Stream, item_parser) -> list:
-    ts.expect("[", "'['")
-    items = []
-    if not ts.at("]"):
-        items.append(item_parser(ts))
-        while ts.at(","):
-            ts.next()
-            items.append(item_parser(ts))
-    ts.expect("]", "']'")
-    return items
+def _read(chunks: Dict[str, _Stream], key: str, parse, default):
+    """Statement `key` read to its end by `parse`, or `default` without one."""
+    return _finish(chunks[key], parse) if key in chunks else default
 
 
 def _parse_bool(ts: _Stream) -> bool:
     tok = ts.expect("ident", "true or false")
-    if tok[1] == "true":
-        return True
-    if tok[1] == "false":
-        return False
-    ts.error("expected true or false, found %r" % tok[1])
-
-
-def _finish(ts: _Stream):
-    if not ts.at("eof"):
-        ts.error("unexpected trailing input %r" % ts.peek()[1])
+    if tok[1] not in ("true", "false"):
+        ts.error("expected true or false, found %r" % tok[1])
+    return tok[1] == "true"
 
 
 def _ringspec_from_chunks(chunks: Dict[str, _Stream]) -> RingSpec:
     if "vars" not in chunks:
         raise RingParseError("missing 'vars' statement")
-    ts = chunks["vars"]
-    names = _parse_list(ts, lambda s: s.expect("ident", "a variable name")[1])
-    _finish(ts)
-
-    weights = None
-    if "weights" in chunks:
-        ts = chunks["weights"]
-        weights = _parse_list(ts, lambda s: int(s.expect("number", "a weight")[1]))
-        _finish(ts)
-
+    names = _read(chunks, "vars", lambda ts: _parse_list(
+        ts, lambda s: s.expect("ident", "a variable name")[1]), None)
+    weights = _read(chunks, "weights", lambda ts: _parse_list(
+        ts, lambda s: int(s.expect("number", "a weight")[1])), None)
     # validate names/weights before polynomials are parsed against them
     ring0 = make_ringspec(names, weights)
-
-    ideal: List[Polynomial] = []
-    if "ideal" in chunks:
-        ts = chunks["ideal"]
-        ideal = _parse_list(ts, lambda s: _parse_expr(s, ring0))
-        _finish(ts)
-
-    assume_domain = False
-    if "assume_domain" in chunks:
-        ts = chunks["assume_domain"]
-        assume_domain = _parse_bool(ts)
-        _finish(ts)
-
+    ideal = _read(chunks, "ideal", lambda ts: _parse_list(
+        ts, lambda s: _parse_expr(s, ring0)), [])
+    assume_domain = _read(chunks, "assume_domain", _parse_bool, False)
     return make_ringspec(names, weights, ideal, assume_domain)
 
 
@@ -487,30 +456,19 @@ _PRESENTATION_KEYS = _RING_KEYS | {"generators", "relations"}
 
 def parse_ringspec(text: str) -> RingSpec:
     """Parse a .ring document into a validated RingSpec."""
-    chunks = _split_statements(text)
-    for key in chunks:
-        if key not in _RING_KEYS:
-            raise RingParseError("unknown statement %r in ring file" % key)
-    return _ringspec_from_chunks(chunks)
+    return _ringspec_from_chunks(_split_statements(text, _RING_KEYS, "ring file"))
 
 
 def parse_presentation_doc(text: str):
     """Parse a presentation document: (RingSpec, labels, relation rows)."""
-    chunks = _split_statements(text)
-    for key in chunks:
-        if key not in _PRESENTATION_KEYS:
-            raise RingParseError("unknown statement %r in presentation" % key)
+    chunks = _split_statements(text, _PRESENTATION_KEYS, "presentation")
     ring = _ringspec_from_chunks(chunks)
     if "generators" not in chunks:
         raise RingParseError("missing 'generators' statement")
-    ts = chunks["generators"]
-    labels = _parse_list(ts, lambda s: _parse_label(s, ring))
-    _finish(ts)
-    rows: List[List[Polynomial]] = []
-    if "relations" in chunks:
-        ts = chunks["relations"]
-        rows = _parse_list(ts, lambda s: _parse_list(s, lambda t: _parse_expr(t, ring)))
-        _finish(ts)
+    labels = _read(chunks, "generators", lambda ts: _parse_list(
+        ts, lambda s: _parse_label(s, ring)), None)
+    rows = _read(chunks, "relations", lambda ts: _parse_list(
+        ts, lambda s: _parse_list(s, lambda t: _parse_expr(t, ring))), [])
     for row in rows:
         if len(row) != len(labels):
             raise RingParseError("relation row of length %d, expected %d"
@@ -522,100 +480,102 @@ def parse_presentation_doc(text: str):
 # rendering
 
 
-def ring_statements(ring: RingSpec) -> List[str]:
-    order = ring.order()
-    out = ["vars = [%s];" % ", ".join(ring.variables)]
+def _doc(value, order: MonomialOrder):
+    """A statement value in structured form: polynomials and labels as
+    text, sequences as lists, anything else as it is."""
+    if isinstance(value, Polynomial):
+        return format_polynomial(value, order)
+    if isinstance(value, Label):
+        return value.render()
+    if isinstance(value, (list, tuple)):
+        return [_doc(v, order) for v in value]
+    return value
+
+
+def _text(doc) -> str:
+    """A structured value as statement text: true/false, a bracketed list,
+    a matrix with one bracketed row per line, or str()."""
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, list):
+        if doc and isinstance(doc[0], list):
+            return "[\n%s\n]" % ",\n".join("  " + _text(row) for row in doc)
+        return "[%s]" % ", ".join(_text(v) for v in doc)
+    return str(doc)
+
+
+def statements_text(pairs, order: MonomialOrder) -> str:
+    """One `name = value;` line per (name, value) pair."""
+    return "".join("%s = %s;\n" % (name, _text(_doc(value, order)))
+                   for name, value in pairs)
+
+
+def ring_statements(ring: RingSpec) -> List[Tuple[str, object]]:
+    """The ring's (name, value) statements, for statements_text."""
+    pairs: List[Tuple[str, object]] = [("vars", ring.variables)]
     if ring.weights is not None:
-        out.append("weights = [%s];" % ", ".join(str(w) for w in ring.weights))
-    out.append("ideal = [%s];" % ", ".join(format_polynomial(f, order)
-                                           for f in ring.ideal))
+        pairs.append(("weights", ring.weights))
+    pairs.append(("ideal", ring.ideal))
     if ring.assume_domain:
-        out.append("assume_domain = true;")
-    return out
+        pairs.append(("assume_domain", True))
+    return pairs
 
 
 def ring_document(ring: RingSpec) -> dict:
     order = ring.order()
     return {
-        "vars": list(ring.variables),
-        "weights": list(ring.weights) if ring.weights is not None else None,
-        "ideal": [format_polynomial(f, order) for f in ring.ideal],
+        "vars": _doc(ring.variables, order),
+        "weights": _doc(ring.weights, order),
+        "ideal": _doc(ring.ideal, order),
         "assume_domain": ring.assume_domain,
     }
 
 
-def _poly_matrix(rows, order) -> List[List[str]]:
-    return [[format_polynomial(p, order) for p in row] for row in rows]
-
-
-def _matrix_statement(name: str, rows, order) -> str:
-    """`name = [...];` with one bracketed row per line, or `name = [];`."""
-    if not rows:
-        return "%s = [];" % name
-    body = ",\n".join("  [%s]" % ", ".join(format_polynomial(c, order) for c in row)
-                      for row in rows)
-    return "%s = [\n%s\n];" % (name, body)
-
-
 def presentation_text(p) -> str:
-    order = p.ring.order()
-    lines = ring_statements(p.ring)
-    lines.append("generators = [%s];" % ", ".join(g.render() for g in p.generators))
-    lines.append(_matrix_statement("relations", p.relations, order))
-    return "\n".join(lines) + "\n"
+    return statements_text(ring_statements(p.ring) + [
+        ("generators", p.generators), ("relations", p.relations)],
+        p.ring.order())
 
 
 def presentation_document(p) -> dict:
     order = p.ring.order()
     return {
         "ring": ring_document(p.ring),
-        "generators": [g.render() for g in p.generators],
-        "relations": _poly_matrix(p.relations, order),
+        "generators": _doc(p.generators, order),
+        "relations": _doc(p.relations, order),
     }
 
 
 def map_matrix_rows(m) -> List[List["Polynomial"]]:
     """Matrix in the documented shape: target generators x source generators."""
-    n_t = len(m.target.generators)
-    return [[m.columns[s][t] for s in range(len(m.source.generators))]
-            for t in range(n_t)]
+    return [[col[t] for col in m.columns] for t in range(m.target.ngens)]
 
 
 def map_text(m) -> str:
-    order = m.source.ring.order()
-    lines = ring_statements(m.source.ring)
-    lines.append("source_generators = [%s];"
-                 % ", ".join(g.render() for g in m.source.generators))
-    lines.append("target_generators = [%s];"
-                 % ", ".join(g.render() for g in m.target.generators))
-    lines.append(_matrix_statement("matrix", map_matrix_rows(m), order))
-    return "\n".join(lines) + "\n"
+    return statements_text(ring_statements(m.source.ring) + [
+        ("source_generators", m.source.generators),
+        ("target_generators", m.target.generators),
+        ("matrix", map_matrix_rows(m))], m.source.ring.order())
 
 
 def map_document(m) -> dict:
-    order = m.source.ring.order()
     return {
         "ring": ring_document(m.source.ring),
         "source": presentation_document(m.source),
         "target": presentation_document(m.target),
-        "matrix": _poly_matrix(map_matrix_rows(m), order),
+        "matrix": _doc(map_matrix_rows(m), m.source.ring.order()),
     }
 
 
 def resolution_text(r) -> str:
-    order = r.module.ring.order()
-    lines = ring_statements(r.module.ring)
-    lines.append("betti = [%s];" % ", ".join(str(b) for b in r.betti))
-    lines.append("terminated = %s;" % ("true" if r.terminated else "false"))
-    lines.append("cutoff = %d;" % r.cutoff)
-    lines.append("graded = %s;" % ("true" if r.graded else "false"))
-    for i, step in enumerate(r.steps):
-        lines.append(_matrix_statement("step%d" % i, step, order))
-    return "\n".join(lines) + "\n"
+    return statements_text(ring_statements(r.module.ring) + [
+        ("betti", r.betti), ("terminated", r.terminated),
+        ("cutoff", r.cutoff), ("graded", r.graded)] + [
+        ("step%d" % i, step) for i, step in enumerate(r.steps)],
+        r.module.ring.order())
 
 
 def resolution_document(r) -> dict:
-    order = r.module.ring.order()
     return {
         "ring": ring_document(r.module.ring),
         "module": presentation_document(r.module),
@@ -623,5 +583,5 @@ def resolution_document(r) -> dict:
         "terminated": r.terminated,
         "cutoff": r.cutoff,
         "graded": r.graded,
-        "steps": [_poly_matrix(step, order) for step in r.steps],
+        "steps": _doc(r.steps, r.module.ring.order()),
     }

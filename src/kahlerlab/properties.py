@@ -11,7 +11,8 @@ from fractions import Fraction
 import random
 
 from .poly import Polynomial, format_polynomial, partial_derivative
-from .parser import make_ringspec, parse_poly, parse_ringspec, ring_statements
+from .parser import (make_ringspec, parse_poly, parse_ringspec, ring_statements,
+                     statements_text)
 from .groebner import (
     nf_poly,
     submodule_over_ring,
@@ -98,7 +99,7 @@ def run_parser_round_trips(rng: random.Random, cases: int) -> int:
         assert format_polynomial(q, ring.order()) == \
             format_polynomial(parse_poly(format_polynomial(q, ring.order()), ring),
                               ring.order())
-        text = "\n".join(ring_statements(ring))
+        text = statements_text(ring_statements(ring), ring.order())
         assert parse_ringspec(text) == ring
         done += 1
     return done

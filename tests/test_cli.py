@@ -94,10 +94,16 @@ def test_omega_with_basis_override(capsys, cusp_file):
 
 
 def test_bad_basis_is_input_error(capsys, cusp_file):
-    code, _, err = run(capsys, [
-        "omega", "--ring", cusp_file, "-q", "2", "--basis", "x^2,y^2"])
-    assert code == 2
-    assert err.strip()
+    for basis, message in (
+            ("x^2,y^2", "basis must be a permutation"),
+            # entries that are not monomials with coefficient 1
+            ("x+y,x", "(line 1, column 4)"),
+            ("2*x,y", "(line 1, column 4)"),
+            ("x,,y", "(line 1, column 3)")):
+        code, out, err = run(capsys, [
+            "omega", "--ring", cusp_file, "-q", "2", "--basis", basis])
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_missing_ring_file_is_input_error(capsys, tmp_path):
@@ -109,10 +115,12 @@ def test_missing_ring_file_is_input_error(capsys, tmp_path):
 
 def test_malformed_ring_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "broken.ring"
-    path.write_text("vars = [x;\n")
-    code, _, err = run(capsys, ["omega", "--ring", str(path)])
-    assert code == 2
-    assert err.strip()
+    # a Unicode digit is not a number: x^\u0663 is not read as x^3
+    for text in ("vars = [x;\n", "vars = [x];\nideal = [x^\u0663];\n"):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["omega", "--ring", str(path)])
+        assert code == 2 and out == ""
+        assert "(line " in err
 
 
 def test_q_must_be_positive(capsys, cusp_file):
@@ -369,7 +377,8 @@ def test_jets_of_omega_q2_on_ex316_matches_recorded_stdout(capsys):
 
 
 # Requests outside perfbench/expected.json whose stdout the symmetric
-# square, the derivation solver and the split sequence decide.
+# square, the derivation solver and the split sequence decide, then one
+# request for each statement writer path no other digest covers.
 RECORDED_STDOUT = {
     "iota --ring poly2":
         "348de8607ef1d00128b0ef1ded54d0e5ad755960307fa2f8a75aa301f43735a7",
@@ -383,6 +392,19 @@ RECORDED_STDOUT = {
         "2384541444c45c4e5ff376617ec5d0053c2b5ccd8b95f3968423441a088bc885",
     "symderiv --ring poly2":
         "7e0db3f81ae44987ce293aee5788b666f9ed8d4deb95fd0f1fdb7e37c74de096",
+    "theta -q 1 --ring poly2":
+        "a2659194e98951cae6c7ae8c1a876baab306be8d3d1ff99c1fb1d7c499f077d8",
+    "theta -q 1 --target jets --ring cusp":
+        "1a0fa4184c7cb532e5b00ad7d98a34854dbf35629e3d2db45b9e26dcdbe0c356",
+    "resolve -q 1 --module omega --cutoff 3 --ring ex316":
+        "e75bbc80d639db357219636f8314d82138b39704b2bf83853e93816f0887bddf",
+    "resolve -q 1 --module jets:ring --ring poly2":
+        "4ac6ac8e2f8dea3c62baf05d760434d68d7540ffd2ad2093ea1f0f3f123a1c0c",
+    # an empty relation matrix
+    "omega -q 2 --ring poly1":
+        "7fbe4fad2ea95d6352557b37347a3e96d36b821b9e8337eb38813ccf91dd58dd",
+    "regular --ring poly2":
+        "45ac64cb4d2b7c5be0d3b409d6ea96a09e1527730b50f4ccf4bfa5d3631aa9d1",
 }
 
 

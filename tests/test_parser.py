@@ -17,6 +17,7 @@ from kahlerlab.parser import (
     parse_presentation_doc,
     parse_ringspec,
     ring_statements,
+    statements_text,
 )
 from kahlerlab.poly import Polynomial, format_polynomial
 
@@ -56,7 +57,7 @@ def test_parse_polynomial_ring():
 
 def test_ring_round_trip():
     ring = parse_ringspec(CUSP_TEXT)
-    text = "\n".join(ring_statements(ring))
+    text = statements_text(ring_statements(ring), ring.order())
     assert parse_ringspec(text) == ring
 
 
@@ -87,6 +88,17 @@ def test_parse_error_carries_position():
         assert err.col > 0
     else:
         raise AssertionError("expected a parse error")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("vars = [x]; ideal = [x^\u00b2];", 24),  # superscript two
+    ("vars = [x]; ideal = [x^\u0663];", 24),  # Arabic-Indic digit three
+    ("vars = [\u00e9];", 9),                  # e with acute accent
+])
+def test_non_ascii_digits_and_letters_are_input_errors(text, col):
+    with pytest.raises(RingParseError, match="unexpected character") as err:
+        parse_ringspec(text)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_parse_poly_basics():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from kahlerlab.parser import (
     make_ringspec,
     parse_poly,
     parse_ringspec,
+    presentation_text,
 )
 from kahlerlab.presentations import (
     ModuleMap,
@@ -344,3 +346,24 @@ relations = [[x, y]];
     m = parse_presentation(text)
     assert m.ngens == 2
     assert m.relations == ((p("x"), p("y")),)
+
+
+ROUND_TRIP_MODULES = {
+    "omega1": lambda ring: omega_presentation(ring, 1),
+    "omega2": lambda ring: omega_presentation(ring, 2),
+    "jets1:omega1": lambda ring: jq_presentation(omega_presentation(ring, 1), 1),
+    "sym2:omega1": lambda ring: symmetric_square(omega_presentation(ring, 1)),
+    "jets2:ring": lambda ring: jq_presentation(ring_as_module(ring), 2),
+}
+
+
+@pytest.mark.parametrize("module", sorted(ROUND_TRIP_MODULES))
+@pytest.mark.parametrize("name", ["poly2", "cusp", "ex316"])
+def test_presentation_text_parses_back(name, module):
+    # the d, D[...]() and s(,) labels and relation matrices parse back
+    ring = parse_ringspec(resources.files("kahlerlab").joinpath(
+        "corpus", name + ".ring").read_text())
+    m = ROUND_TRIP_MODULES[module](ring)
+    back = parse_presentation(presentation_text(m))
+    assert (back.ring, back.generators, back.relations) == \
+        (m.ring, m.generators, m.relations)
