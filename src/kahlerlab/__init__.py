@@ -36,10 +36,10 @@ from .presentations import (
     verify_splitting,
 )
 from .diffmod import (
-    DeltaBasis,
     SymmetricDerivation,
     apply_derivation,
     delta_expand,
+    delta_monomials,
     iota_sym_to_omega2,
     jet_expand,
     jets_of_ring,

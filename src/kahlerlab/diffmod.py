@@ -3,9 +3,10 @@
 Everything is finitely presented over R = Q[x_1..x_s]/I.  The q-th
 differential module Omega^(q) is presented on the symbols d_q(x^alpha) for
 1 <= |alpha| <= q; the q-jet module J_q(M) of a presented module M on the
-symbols D_q[g](x^beta) for |beta| <= q.  Relation rows are produced by a
-triangular expansion of polynomials against these symbol bases and pruned
-to a generating set.
+symbols D_q[g](x^beta) for |beta| <= q.  The coordinates of a polynomial
+against these symbols come from a closed form; relation rows are the
+coordinates of shifted ideal generators and relation rows, pruned to a
+generating set.
 
 The symmetric-derivation solver decides whether the second-order structure
 splits: it searches for generator images in S^2(Omega^(q)) compatible with
@@ -20,12 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, prod
+from operator import sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import ExpVec, Polynomial, doubled_variables, shift_components
+from .poly import ExpVec, Polynomial, doubled_variables
 from .parser import DeltaLabel, JetLabel, RingSpec, make_ringspec
-from .groebner import FreeElement, NoSolution, nf_poly, prune_rows, solve_linear
+from .groebner import (FreeElement, NoSolution, _ideal_unit_rows, nf_poly,
+                       prune_rows, solve_linear)
 from .presentations import (
     ModuleMap,
     Presentation,
@@ -46,41 +49,65 @@ def _exponent_vectors(nvars: int, q: int, floor: int) -> List[ExpVec]:
     return out
 
 
-class DeltaBasis:
-    """Ordered symbol basis {d_q(x^alpha) : 1 <= |alpha| <= q}.
+def delta_monomials(ring: RingSpec, q: int,
+                    basis: Optional[Sequence[ExpVec]] = None
+                    ) -> Tuple[ExpVec, ...]:
+    """The monomials x^alpha, 1 <= |alpha| <= q, of the symbols d_q(x^alpha).
 
     The default order is by total degree, then by exponent (x before y);
-    an override must be a permutation of the same monomial set.
+    `basis` overrides it with a permutation of the same monomial set.
     """
-
-    def __init__(self, ring: RingSpec, q: int,
-                 monomials: Optional[Sequence[ExpVec]] = None):
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        default = tuple(_exponent_vectors(len(ring.variables), q, 1))
-        if monomials is None:
-            monomials = default
-        else:
-            monomials = tuple(tuple(int(e) for e in m) for m in monomials)
-            if sorted(monomials) != sorted(default):
-                raise ValueError(
-                    "basis must be a permutation of the %d monomials with "
-                    "1 <= |alpha| <= %d" % (len(default), q))
-        self.ring = ring
-        self.q = q
-        self.monomials: Tuple[ExpVec, ...] = tuple(monomials)
-
-    def labels(self) -> Tuple[DeltaLabel, ...]:
-        return tuple(DeltaLabel(self.q, m, self.ring.variables)
-                     for m in self.monomials)
-
-    def degrees(self) -> Tuple[int, ...]:
-        order = self.ring.order()
-        return tuple(order.degree(m) for m in self.monomials)
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    default = tuple(_exponent_vectors(len(ring.variables), q, 1))
+    if basis is None:
+        return default
+    basis = tuple(tuple(int(e) for e in m) for m in basis)
+    if sorted(basis) != sorted(default):
+        raise ValueError(
+            "basis must be a permutation of the %d monomials with "
+            "1 <= |alpha| <= %d" % (len(default), q))
+    return basis
 
 
 # ---------------------------------------------------------------------------
-# triangular expansion against the symbol bases
+# expansion against the symbol bases
+
+
+@lru_cache(maxsize=None)
+def _expansion_coords(h: Polynomial, ring: RingSpec,
+                      q: int) -> Tuple[Tuple[ExpVec, Polynomial], ...]:
+    """(beta, c_beta) for every |beta| <= q in ascending order, with
+    h(x+u) = sum_beta c_beta (x+u)^beta modulo (u)^(q+1) and each c_beta
+    reduced modulo I.  The slot beta = 0 serves the jets; the delta symbols
+    read |beta| >= 1.
+
+    Closed form: put u^gamma = sum_(beta<=gamma) C(gamma,beta)
+    (-x)^(gamma-beta) (x+u)^beta into the Taylor table of a term c x^e.  By
+    Vandermonde it adds c C(e,beta) x^(e-beta) s to slot beta, where
+    s = sum_(j<=k) (-1)^j C(m,j) for k = q-|beta| and m = |e|-|beta|: s is
+    1 when m = 0 and (-1)^k C(m-1,k) otherwise (0 once k >= m)."""
+    slots = {beta: {} for beta in _exponent_vectors(len(ring.variables), q, 0)}
+    for e, c in h.terms.items():
+        for beta in product(*(range(min(a, q) + 1) for a in e)):
+            k, m = q - sum(beta), sum(e) - sum(beta)
+            if k < 0 or 0 < m <= k:
+                continue
+            s = (-1) ** k * comb(m - 1, k) if m else 1
+            mult = prod(comb(a, b) for a, b in zip(e, beta))
+            slots[beta][tuple(map(sub, e, beta))] = c * mult * s
+    return tuple((beta, nf_poly(Polynomial(ring.variables, terms), ring))
+                 for beta, terms in slots.items())
+
+
+def delta_expand(h: Polynomial, ring: RingSpec, q: int,
+                 basis: Optional[Sequence[ExpVec]] = None) -> FreeElement:
+    """Coordinates of the class of h in Omega^(q) over the symbols
+    d_q(x^alpha), alpha running over `basis` (default delta_monomials)."""
+    coords = dict(_expansion_coords(h, ring, q))
+    if basis is None:
+        basis = delta_monomials(ring, q)
+    return tuple(coords[m] for m in basis)
 
 
 def _back_substitute(table: Dict[ExpVec, Polynomial], ring: RingSpec,
@@ -99,41 +126,21 @@ def _back_substitute(table: Dict[ExpVec, Polynomial], ring: RingSpec,
         out[gamma] = c
         if c.is_zero():
             continue
-        ranges = [range(e + 1) for e in gamma]
-        for eta in product(*ranges):
-            if eta == gamma:
-                continue
-            mult = 1
-            for g, e in zip(gamma, eta):
-                mult *= comb(g, e)
-            mono = Polynomial.monomial(
-                ring.variables, tuple(g - e for g, e in zip(gamma, eta)), mult)
-            table[eta] = table.get(eta, zero) - c * mono
+        for eta in product(*(range(g + 1) for g in gamma)):
+            if eta != gamma:
+                mult = prod(comb(g, e) for g, e in zip(gamma, eta))
+                mono = Polynomial.monomial(
+                    ring.variables, tuple(map(sub, gamma, eta)), mult)
+                table[eta] = table.get(eta, zero) - c * mono
     return out
-
-
-@lru_cache(maxsize=None)
-def _expansion_coords(h: Polynomial, ring: RingSpec,
-                      q: int) -> Tuple[Tuple[ExpVec, Polynomial], ...]:
-    # the constant slot serves the jets; the delta symbols read |gamma| >= 1
-    coords = _back_substitute(shift_components(h, q), ring, q)
-    return tuple(sorted(coords.items()))
-
-
-def delta_expand(h: Polynomial, ring: RingSpec, q: int,
-                 basis: Optional[DeltaBasis] = None) -> FreeElement:
-    """Coordinates of the class of h in Omega^(q) over the symbol basis."""
-    if basis is None:
-        basis = DeltaBasis(ring, q)
-    coords = dict(_expansion_coords(h, ring, q))
-    return tuple(coords[m] for m in basis.monomials)
 
 
 def delta_expand_via_products(h: Polynomial, ring: RingSpec,
                               q: int) -> FreeElement:
-    """Same coordinates, but the coefficient table is built by repeated
-    truncated products (d(ab) = a db + b da + da db, capped at u-degree q)
-    instead of direct Taylor shifts; used as a cross-check route."""
+    """Same coordinates by an independent route: the coefficient table of
+    h(x+u) is built by repeated truncated products (d(ab) = a db + b da +
+    da db, capped at u-degree q) and inverted by a triangular solve; used
+    as a cross-check."""
     doubled = doubled_variables(h.variables)
     n = len(h.variables)
     zero = Polynomial.zero(doubled)
@@ -162,37 +169,19 @@ def delta_expand_via_products(h: Polynomial, ring: RingSpec,
         table.setdefault(exps[n:], {})[exps[:n]] = coeff
     polys = {g: Polynomial(h.variables, b) for g, b in table.items()}
     coords = _back_substitute(polys, ring, q)
-    basis = DeltaBasis(ring, q)
-    return tuple(coords[m] for m in basis.monomials)
+    return tuple(coords[m] for m in delta_monomials(ring, q))
 
 
 def _jet_monomials(ring: RingSpec, q: int) -> Tuple[ExpVec, ...]:
     return tuple(_exponent_vectors(len(ring.variables), q, 0))
 
 
-def _jet_of_element(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
+def jet_expand(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
     """Coordinates of the q-jet of an element of R^k over the symbols
-    D_q[g_t](x^beta), laid out beta-major: entry t fills only the slots
-    position(beta) * k + t, with its expansion coordinates."""
-    k = len(element)
-    betas = _jet_monomials(ring, q)
-    out = [ring.zero()] * (len(betas) * k)
-    for t, entry in enumerate(element):
-        if entry.is_zero():
-            continue
-        coords = dict(_expansion_coords(entry, ring, q))
-        for pos, beta in enumerate(betas):
-            out[pos * k + t] = coords[beta]
-    return tuple(out)
-
-
-def jet_expand(h: Polynomial, ring: RingSpec, q: int, inner_index: int,
-               inner_count: int) -> FreeElement:
-    """Coordinates of the q-jet of h * e_t over the symbols D_q[g](x^beta),
-    laid out beta-major: slot(beta, t) = position(beta) * inner_count + t."""
-    element = [ring.zero()] * inner_count
-    element[inner_index] = h
-    return _jet_of_element(tuple(element), ring, q)
+    D_q[g_t](x^beta), laid out beta-major: slot position(beta) * k + t
+    holds the coordinate at beta of the expansion of entry t."""
+    cols = [[c for _, c in _expansion_coords(a, ring, q)] for a in element]
+    return tuple(c for slot in zip(*cols) for c in slot)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +197,18 @@ def _ideal_shifts(ring: RingSpec, q: int) -> List[ExpVec]:
     return _exponent_vectors(len(ring.variables), q - 1, 0)
 
 
-def _omega_rows(ring: RingSpec, q: int, basis: DeltaBasis) -> List[FreeElement]:
-    rows = []
-    shifts = _ideal_shifts(ring, q)
-    for f in ring.ideal:
-        for beta in shifts:
-            mono = Polynomial.monomial(ring.variables, beta)
-            rows.append(delta_expand(mono * f, ring, q, basis))
-    return rows
+def _shifted(rows: Sequence[FreeElement], gammas: Sequence[ExpVec],
+             ring: RingSpec) -> List[FreeElement]:
+    """x^gamma * row for each row, then each gamma."""
+    monos = [Polynomial.monomial(ring.variables, g) for g in gammas]
+    return [tuple(mono * e for e in row) for row in rows for mono in monos]
+
+
+def _omega_rows(ring: RingSpec, q: int,
+                monomials: Sequence[ExpVec]) -> List[FreeElement]:
+    """Expansions of x^gamma * f, f an ideal generator, |gamma| < q."""
+    return [delta_expand(f, ring, q, monomials) for (f,) in _shifted(
+        _ideal_unit_rows(1, ring), _ideal_shifts(ring, q), ring)]
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +218,12 @@ def omega_presentation(ring: RingSpec, q: int,
     expansions of x^beta * f over all ideal generators f and |beta| < q,
     pruned to a generating subset.  `basis`, a tuple because it is part of
     the cache key, reorders the generators."""
-    db = DeltaBasis(ring, q, basis)
-    rows = prune_rows(_omega_rows(ring, q, db), len(db.monomials), ring)
-    return Presentation(ring, db.labels(), tuple(rows), db.degrees())
+    monomials = delta_monomials(ring, q, basis)
+    rows = prune_rows(_omega_rows(ring, q, monomials), len(monomials), ring)
+    order = ring.order()
+    return Presentation(
+        ring, tuple(DeltaLabel(q, m, ring.variables) for m in monomials),
+        tuple(rows), tuple(order.degree(m) for m in monomials))
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +246,9 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
         order = ring.order()
         degrees = tuple(m.degrees[t] + order.degree(beta)
                         for beta in betas for t in range(k))
-    rows: List[FreeElement] = []
-    for r in m.relations:
-        for gamma in betas:
-            mono = Polynomial.monomial(ring.variables, gamma)
-            rows.append(_jet_of_element(tuple(mono * e for e in r), ring, q))
-    shifts = _ideal_shifts(ring, q)
-    for f in ring.ideal:
-        for t in range(k):
-            for gamma in shifts:
-                mono = Polynomial.monomial(ring.variables, gamma)
-                rows.append(jet_expand(mono * f, ring, q, t, k))
-    rows = prune_rows(rows, len(gens), ring)
+    raw = (_shifted(m.relations, betas, ring)
+           + _shifted(_ideal_unit_rows(k, ring), _ideal_shifts(ring, q), ring))
+    rows = prune_rows([jet_expand(r, ring, q) for r in raw], len(gens), ring)
     return Presentation(ring, gens, tuple(rows), degrees)
 
 
@@ -286,10 +273,9 @@ def theta_to_first(ring: RingSpec, q: int) -> ModuleMap:
     """Projection Omega^(q) -> Omega^(1), d_q(x^alpha) |-> class of x^alpha."""
     source = omega_presentation(ring, q)
     target = omega_presentation(ring, 1)
-    basis = DeltaBasis(ring, q)
     cols = tuple(delta_expand(Polynomial.monomial(ring.variables, alpha),
                               ring, 1)
-                 for alpha in basis.monomials)
+                 for alpha in delta_monomials(ring, q))
     return ModuleMap(source, target, cols)
 
 
@@ -316,9 +302,9 @@ def theta_to_jets(ring: RingSpec, q: int) -> ModuleMap:
     inner = omega_presentation(ring, q)
     target = jq_presentation(inner, q)
     cols = []
-    for alpha in DeltaBasis(ring, 2 * q).monomials:
+    for alpha in delta_monomials(ring, 2 * q):
         r = delta_expand(Polynomial.monomial(ring.variables, alpha), ring, q)
-        cols.append(_jet_of_element(r, ring, q))
+        cols.append(jet_expand(r, ring, q))
     return ModuleMap(source, target, tuple(cols))
 
 
@@ -438,7 +424,8 @@ def validate_symmetric_derivation(d: SymmetricDerivation) -> List[tuple]:
     """Independent checks on a claimed derivation; empty list means clean.
 
     Checks: (a) the Leibniz constraint on every relation row of Omega^(q)
-    and on every ideal multiple of a generator; (b) the induced operator
+    and on x^gamma * f * e_sigma for every generator e_sigma, ideal
+    generator f and |gamma| < q; (b) the induced operator
     h |-> D(expansion of h) has differential order <= q+1 on monomials of
     degree <= 2; (c) the two expansion routes agree on monomials of degree
     <= 3."""
@@ -446,12 +433,8 @@ def validate_symmetric_derivation(d: SymmetricDerivation) -> List[tuple]:
 
     ring = d.ring
     problems: List[tuple] = []
-    rows = list(d.omega.relations)
-    for sigma in range(d.omega.ngens):
-        for f in ring.ideal:
-            row = list(d.omega.zero_row())
-            row[sigma] = f
-            rows.append(tuple(row))
+    rows = list(d.omega.relations) + _shifted(
+        _ideal_unit_rows(d.omega.ngens, ring), _ideal_shifts(ring, d.q), ring)
     for i, row in enumerate(rows):
         value = apply_derivation(d, row)
         if not element_is_zero(d.sym, value):

@@ -351,10 +351,11 @@ def parse_poly(text: str, ring: RingSpec) -> Polynomial:
 
 
 def _parse_monomial(ts: _Stream, ring: RingSpec) -> ExpVec:
-    poly = _parse_expr(ts, ring)
-    terms = list(poly.terms.items())
+    first = ts.peek()
+    terms = list(_parse_expr(ts, ring).terms.items())
     if len(terms) != 1 or terms[0][1] != 1:
-        ts.error("expected a monomial with coefficient 1")
+        raise RingParseError("expected a monomial with coefficient 1",
+                             first[2], first[3])
     return terms[0][0]
 
 
@@ -400,9 +401,10 @@ def parse_label(text: str, ring: RingSpec) -> Label:
 # statement documents (ring files and presentation documents)
 
 
-def _split_statements(text: str, keys, what: str) -> Dict[str, _Stream]:
-    """One token stream per `name = value;` statement, keyed by name; a
-    name outside `keys` is an error."""
+def _split_statements(text: str, keys, what: str):
+    """One token stream per `name = value;` statement, keyed by name, and
+    the end-of-input token; a name outside `keys` is an error.  Each
+    stream closes with an `eof` token at its statement's name."""
     ts = _Stream(_tokenize(text))
     chunks: Dict[str, _Stream] = {}
     while not ts.at("eof"):
@@ -419,13 +421,22 @@ def _split_statements(text: str, keys, what: str) -> Dict[str, _Stream]:
         chunks[key[1]] = _Stream(body + [("eof", "", key[2], key[3])])
     for name in chunks:
         if name not in keys:
-            raise RingParseError("unknown statement %r in %s" % (name, what))
-    return chunks
+            raise RingParseError("unknown statement %r in %s" % (name, what),
+                                 *chunks[name].tokens[-1][2:])
+    return chunks, ts.peek()
 
 
 def _read(chunks: Dict[str, _Stream], key: str, parse, default):
     """Statement `key` read to its end by `parse`, or `default` without one."""
     return _finish(chunks[key], parse) if key in chunks else default
+
+
+def _validated(chunks: Dict[str, _Stream], key: str, *args) -> RingSpec:
+    """make_ringspec(*args), its error raised at statement `key`'s name."""
+    try:
+        return make_ringspec(*args)
+    except RingParseError as e:
+        raise RingParseError(str(e), *chunks[key].tokens[-1][2:]) from None
 
 
 def _parse_bool(ts: _Stream) -> bool:
@@ -435,19 +446,21 @@ def _parse_bool(ts: _Stream) -> bool:
     return tok[1] == "true"
 
 
-def _ringspec_from_chunks(chunks: Dict[str, _Stream]) -> RingSpec:
+def _ringspec_from_chunks(chunks: Dict[str, _Stream], end) -> RingSpec:
     if "vars" not in chunks:
-        raise RingParseError("missing 'vars' statement")
+        raise RingParseError("missing 'vars' statement", *end[2:])
     names = _read(chunks, "vars", lambda ts: _parse_list(
         ts, lambda s: s.expect("ident", "a variable name")[1]), None)
     weights = _read(chunks, "weights", lambda ts: _parse_list(
         ts, lambda s: int(s.expect("number", "a weight")[1])), None)
-    # validate names/weights before polynomials are parsed against them
-    ring0 = make_ringspec(names, weights)
+    # validate names, then weights, before polynomials are parsed against
+    # them, each error at the statement that holds the fault
+    _validated(chunks, "vars", names)
+    ring0 = _validated(chunks, "weights", names, weights)
     ideal = _read(chunks, "ideal", lambda ts: _parse_list(
         ts, lambda s: _parse_expr(s, ring0)), [])
     assume_domain = _read(chunks, "assume_domain", _parse_bool, False)
-    return make_ringspec(names, weights, ideal, assume_domain)
+    return _validated(chunks, "ideal", names, weights, ideal, assume_domain)
 
 
 _RING_KEYS = {"vars", "weights", "ideal", "assume_domain"}
@@ -456,15 +469,15 @@ _PRESENTATION_KEYS = _RING_KEYS | {"generators", "relations"}
 
 def parse_ringspec(text: str) -> RingSpec:
     """Parse a .ring document into a validated RingSpec."""
-    return _ringspec_from_chunks(_split_statements(text, _RING_KEYS, "ring file"))
+    return _ringspec_from_chunks(*_split_statements(text, _RING_KEYS, "ring file"))
 
 
 def parse_presentation_doc(text: str):
     """Parse a presentation document: (RingSpec, labels, relation rows)."""
-    chunks = _split_statements(text, _PRESENTATION_KEYS, "presentation")
-    ring = _ringspec_from_chunks(chunks)
+    chunks, end = _split_statements(text, _PRESENTATION_KEYS, "presentation")
+    ring = _ringspec_from_chunks(chunks, end)
     if "generators" not in chunks:
-        raise RingParseError("missing 'generators' statement")
+        raise RingParseError("missing 'generators' statement", *end[2:])
     labels = _read(chunks, "generators", lambda ts: _parse_list(
         ts, lambda s: _parse_label(s, ring)), None)
     rows = _read(chunks, "relations", lambda ts: _parse_list(

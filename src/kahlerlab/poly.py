@@ -5,15 +5,11 @@ A polynomial is an immutable map from exponent vectors to nonzero int or
 The public constructor checks its input and stores an integral value as an
 int; arithmetic on valid polynomials builds its results unchecked.
 Everything downstream (Groebner bases, module presentations, differential
-expansions) is built on four things provided here:
+expansions) is built on three things provided here:
 
 * exact ring arithmetic in canonical form,
 * graded reverse-lex monomial orders, by total or weighted degree,
-* iterated partial derivatives,
-* the Taylor components d^gamma h / gamma! of h(x+u) mod (u)^(q+1), the
-  constant component gamma = 0 included; the others are the coordinate
-  form of 1 (x) h - h (x) 1 modulo the (q+1)-st power of the diagonal
-  ideal.
+* iterated partial derivatives.
 
 The canonical text rendering (descending terms under the active order,
 explicit ``*`` and ``^``, e.g. ``-3*x^2*y + 2*y``) is the interchange
@@ -23,9 +19,9 @@ format used by the parser, the CLI and the test corpus.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
-from math import comb, perm
-from operator import add, sub
+from itertools import chain
+from math import perm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 ExpVec = Tuple[int, ...]
@@ -339,31 +335,6 @@ def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynom
         new[var_index] = e - order
         out[tuple(new)] = coeff * perm(e, order)
     return _trusted(h.variables, out)
-
-
-def shift_components(h: Polynomial, q: int) -> Dict[ExpVec, Polynomial]:
-    """Taylor components of h(x+u) truncated past u-degree q.
-
-    Returns {gamma: d^gamma h / gamma!} for |gamma| <= q, the exact
-    coefficient table of h(x+u) mod (u)^(q+1); the component gamma = 0 is
-    h itself.  Distinct terms of h keep distinct monomials in a component,
-    and each multiplier is a positive product of binomials, so nothing
-    cancels.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    comps: Dict[ExpVec, Dict[ExpVec, Coeff]] = {}
-    for exps, coeff in h.terms.items():
-        ranges = [range(min(e, q) + 1) for e in exps]
-        for gamma in product(*ranges):
-            if sum(gamma) > q:
-                continue
-            mult = 1
-            for e, g in zip(exps, gamma):
-                mult *= comb(e, g)
-            rest = tuple(map(sub, exps, gamma))
-            comps.setdefault(gamma, {})[rest] = coeff * mult
-    return {gamma: _trusted(h.variables, b) for gamma, b in comps.items()}
 
 
 def doubled_variables(variables: Sequence[str]) -> Tuple[str, ...]:

@@ -14,12 +14,13 @@ from .poly import Polynomial, format_polynomial, partial_derivative
 from .parser import (make_ringspec, parse_poly, parse_ringspec, ring_statements,
                      statements_text)
 from .groebner import (
+    _ideal_unit_rows,
     nf_poly,
     submodule_over_ring,
     syzygies_over_ring,
 )
-from .diffmod import (DeltaBasis, _exponent_vectors, delta_expand,
-                      delta_expand_via_products)
+from .diffmod import (_exponent_vectors, _omega_rows, _shifted, delta_expand,
+                      delta_expand_via_products, delta_monomials)
 
 XY = ("x", "y")
 PLANE = make_ringspec(XY)
@@ -151,19 +152,12 @@ def run_relation_set_equivalence(rng: random.Random, cases: int) -> int:
                 continue
             ring = make_ringspec(XY, ideal=(f,))
         q = rng.choice((1, 2))
-        basis = DeltaBasis(ring, q)
-        nvars = len(ring.variables)
-        low_rows = []
-        for f in ring.ideal:
-            for beta in _exponent_vectors(nvars, q - 1, 0):
-                mono = Polynomial.monomial(ring.variables, beta)
-                low_rows.append(delta_expand(mono * f, ring, q, basis))
-        span = submodule_over_ring(low_rows, len(basis.monomials), ring)
-        for f in ring.ideal:
-            for beta in _exponent_vectors(nvars, q, q):
-                mono = Polynomial.monomial(ring.variables, beta)
-                row = delta_expand(mono * f, ring, q, basis)
-                assert span.contains(row)
+        monomials = delta_monomials(ring, q)
+        span = submodule_over_ring(_omega_rows(ring, q, monomials),
+                                   len(monomials), ring)
+        top = _exponent_vectors(len(ring.variables), q, q)
+        for (g,) in _shifted(_ideal_unit_rows(1, ring), top, ring):
+            assert span.contains(delta_expand(g, ring, q))
         done += 1
     return done
 

@@ -97,8 +97,8 @@ def test_bad_basis_is_input_error(capsys, cusp_file):
     for basis, message in (
             ("x^2,y^2", "basis must be a permutation"),
             # entries that are not monomials with coefficient 1
-            ("x+y,x", "(line 1, column 4)"),
-            ("2*x,y", "(line 1, column 4)"),
+            ("x+y,x", "(line 1, column 1)"),
+            ("2*x,y", "(line 1, column 1)"),
             ("x,,y", "(line 1, column 3)")):
         code, out, err = run(capsys, [
             "omega", "--ring", cusp_file, "-q", "2", "--basis", basis])

@@ -1,6 +1,7 @@
 """Source hygiene: every name a kahlerlab module imports is used in it,
-every module-level private function or class is used in the package, and
-every true division is exact.
+every module-level private function or class is used in the package,
+every public one is used in the package or the tests, and every true
+division is exact.
 
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kahlerlab"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -53,18 +55,21 @@ def _referenced(node):
     return names
 
 
-def _unused_private_defs(sources):
-    """(module, name) of each module-level `_private` function or class that
-    no other top-level statement of any of the sources refers to."""
+def _unreferenced_defs(sources, public=False, others=()):
+    """(module, name) of each module-level `_private` function or class, or
+    each public one, that no other top-level statement of the sources or
+    of `others` refers to."""
     statements = [(module, node) for module, source in sources.items()
                   for node in ast.parse(source).body]
+    readers = [node for _, node in statements] + [
+        node for source in others for node in ast.parse(source).body]
     unused = []
     for module, node in statements:
-        if not (isinstance(node, DEFS) and node.name.startswith("_")
-                and not node.name.startswith("__")):
+        if not (isinstance(node, DEFS) and not node.name.startswith("__")
+                and node.name.startswith("_") != public):
             continue
         if not any(node.name in _referenced(other)
-                   for _, other in statements if other is not node):
+                   for other in readers if other is not node):
             unused.append((module, node.name))
     return unused
 
@@ -74,12 +79,29 @@ def test_the_check_sees_an_unused_private_def():
         "a": "def _used():\n    pass\n\ndef _self(n):\n    return _self(n)\n",
         "b": "from .a import _used\nclass _Left:\n    pass\n",
     }
-    assert _unused_private_defs(sources) == [("a", "_self"), ("b", "_Left")]
+    assert _unreferenced_defs(sources) == [("a", "_self"), ("b", "_Left")]
 
 
 def test_no_unused_private_defs():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert _unused_private_defs(sources) == []
+    assert _unreferenced_defs(sources) == []
+
+
+def test_the_check_sees_an_unreferenced_public_def():
+    sources = {
+        "a": "def used():\n    pass\n\ndef alone(n):\n    return alone(n)\n",
+        "b": "from .a import used\nclass Tested:\n    pass\n\ndef _hidden():\n"
+             "    pass\n",
+    }
+    tests = ["from pkg.b import Tested\n"]
+    assert _unreferenced_defs(sources, public=True, others=tests) == [
+        ("a", "alone")]
+
+
+def test_no_unreferenced_public_defs():
+    sources = {p.name: p.read_text() for p in MODULES}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert _unreferenced_defs(sources, public=True, others=tests) == []
 
 
 # Coefficients may be ints, and int / int is a float.  A true division is
@@ -129,9 +151,6 @@ def test_the_check_sees_an_unchecked_division():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_true_divisions_are_exact(path):
     assert _unchecked_divisions(path.name, path.read_text()) == []
-
-
-TESTS = Path(__file__).resolve().parent
 
 
 def _callee(call):

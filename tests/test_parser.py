@@ -13,6 +13,7 @@ from kahlerlab.parser import (
     SymLabel,
     make_ringspec,
     parse_label,
+    parse_monomials,
     parse_poly,
     parse_presentation_doc,
     parse_ringspec,
@@ -61,23 +62,26 @@ def test_ring_round_trip():
     assert parse_ringspec(text) == ring
 
 
-def test_statement_grammar_errors():
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x; y];")
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x]; vars = [y];")  # duplicate statement
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x]")  # missing semicolon
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x]; mystery = [1];")
-    with pytest.raises(RingParseError):
-        parse_ringspec("ideal = [x];")  # vars required
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x, x];")
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x, y]; weights = [1];")
-    with pytest.raises(RingParseError):
-        parse_ringspec("vars = [x]; weights = [0];")
+STATEMENT_ERRORS = {
+    "semicolon-in-list": ("vars = [x; y];", 1, 10),
+    "duplicate-statement": ("vars = [x]; vars = [y];", 1, 13),
+    "missing-semicolon": ("vars = [x]", 1, 11),
+    "unknown-statement": ("vars = [x]; mystery = [1];", 1, 13),
+    "missing-vars": ("ideal = [x];", 1, 13),          # at the end of input
+    "duplicate-variable": ("vars = [x, x];", 1, 1),   # at the statement name
+    "weight-count": ("vars = [x, y]; weights = [1];", 1, 16),
+    "weight-sign": ("vars = [x]; weights = [0];", 1, 13),
+    "weight-sign-line-2": ("vars = [x];\nweights = [0];\n", 2, 1),
+    "zero-ideal-generator": ("vars = [x]; ideal = [x - x];", 1, 13),
+}
+
+
+@pytest.mark.parametrize("text, line, col", list(STATEMENT_ERRORS.values()),
+                         ids=list(STATEMENT_ERRORS))
+def test_statement_grammar_errors(text, line, col):
+    with pytest.raises(RingParseError) as err:
+        parse_ringspec(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_parse_error_carries_position():
@@ -176,6 +180,18 @@ def test_label_parse_errors():
     for bad in ("d2(2*x)", "d2(x+y)", "s(d1(x))", "D1[d1(x)]", "d2()", "3"):
         with pytest.raises(RingParseError):
             parse_label(bad, ring)
+
+
+def test_bad_monomial_is_reported_at_its_first_token():
+    ring = make_ringspec(("x", "y"))
+    for parse, text, col in ((parse_label, "d2(x+y)", 4),
+                             (parse_monomials, "x+y,x", 1),
+                             (parse_monomials, "2*x,y", 1),
+                             (parse_monomials, "1/2*x", 1),
+                             (parse_monomials, "x,x*y-y", 3)):
+        with pytest.raises(RingParseError, match="expected a monomial") as err:
+            parse(text, ring)
+        assert (err.value.line, err.value.col) == (1, col), text
 
 
 def test_presentation_document_parses():

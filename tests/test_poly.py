@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,6 @@ from kahlerlab.poly import (
     format_polynomial,
     monomial_text,
     partial_derivative,
-    shift_components,
 )
 
 XY = ("x", "y")
@@ -135,14 +133,6 @@ def _ref_derivative(a, i, order):
     return out
 
 
-def _ref_taylor(a, gamma):
-    for i, g in enumerate(gamma):
-        if g:
-            a = _ref_derivative(a, i, g)
-    scale = Fraction(1, factorial(gamma[0]) * factorial(gamma[1]))
-    return {e: c * scale for e, c in a.items()}
-
-
 def _assert_stored(p, public=False):
     """No zero is stored, and every coefficient is an int or a Fraction;
     the public constructor stores no integral Fraction."""
@@ -185,9 +175,6 @@ def test_fast_path_matches_the_fraction_reference():
             (partial_derivative(a, 0), _ref_derivative(ra, 0, 1)),
             (partial_derivative(a, 1, 2), _ref_derivative(ra, 1, 2)),
         ]
-        table = shift_components(a, 2)
-        for g in [(i, j) for i in range(3) for j in range(3 - i)]:
-            checks.append((table.get(g, Polynomial.zero(XY)), _ref_taylor(ra, g)))
         for got, want in checks:
             assert got.terms == want
             _assert_stored(got)
@@ -206,16 +193,8 @@ def test_partial_derivative_and_taylor():
     assert partial_derivative(h, 0) == P({(2, 1): 3})
     assert partial_derivative(h, 1, 2) == P({(0, 0): 4})
     # taylor gamma=(2,1): d^3 h / (dx^2 dy) / (2! * 1!) = 3x
-    assert shift_components(h, 3)[(2, 1)] == P({(1, 0): 3})
-
-
-def test_shift_components_table():
-    h = P({(3, 0): 1})  # x^3
-    table = shift_components(h, 2)
-    assert set(table) == {(0, 0), (1, 0), (2, 0)}
-    assert table[(0, 0)] == h
-    assert table[(1, 0)] == P({(2, 0): 3})
-    assert table[(2, 0)] == P({(1, 0): 3})
+    taylor = partial_derivative(partial_derivative(h, 0, 2), 1)
+    assert taylor.scale(Fraction(1, 2)) == P({(1, 0): 3})
 
 
 def test_doubled_variables_avoid_collisions():
