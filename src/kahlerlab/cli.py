@@ -19,7 +19,6 @@ goes to stderr so stdout stays byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -573,6 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    if key not in ("command", "format") and value is not None}
         if args.command == "verify-paper":
             request["corpus"] = args.corpus or "shipped"
+        import json
         text = json.dumps({"command": args.command, "request": request,
                            "result": result, "seed": 0},
                           indent=2, sort_keys=True) + "\n"

@@ -17,7 +17,8 @@ independent bounded-degree oracle double-checks the verdict without the
 Groebner engine.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -25,7 +26,7 @@ from math import comb, prod
 from operator import sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import ExpVec, Polynomial, doubled_variables
+from .poly import ExpVec, Polynomial, Record, doubled_variables
 from .parser import DeltaLabel, JetLabel, RingSpec, make_ringspec
 from .groebner import (FreeElement, NoSolution, _ideal_unit_rows, nf_poly,
                        prune_rows, solve_linear)
@@ -312,8 +313,7 @@ def theta_to_jets(ring: RingSpec, q: int) -> ModuleMap:
 # symmetric derivations
 
 
-@dataclass(frozen=True)
-class SymmetricDerivation:
+class SymmetricDerivation(Record):
     """Generator images of a derivation Omega^(q) -> S^2(Omega^(q)) obeying
     D(a w) = a D(w) + sym(expansion of a, w)."""
 

@@ -64,7 +64,6 @@ for one polynomial modulo I.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -72,7 +71,8 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Coeff, ExpVec, MonomialOrder, Polynomial, _grown
+from .poly import (Coeff, ExpVec, MonomialOrder, Polynomial, Record,
+                   _coefficient, _grown)
 from .parser import RingSpec
 
 Term = Tuple[int, ExpVec]          # (position, monomial)
@@ -114,11 +114,10 @@ def _vec_submul(target: Vec, coeff, mono: ExpVec, src: Vec,
 
 
 def _vec_divide(vec: Vec, m: int) -> None:
-    """vec /= m, in place; int coefficients stay ints when m is 1."""
+    """vec /= m, in place; an integral quotient is stored as an int."""
     if m != 1:
-        c = Fraction(1, m)
-        for key in vec:
-            vec[key] *= c
+        for key, c in vec.items():
+            vec[key] = _coefficient(Fraction(c, m))
 
 
 def _make_primitive(vec: Vec, order: MonomialOrder) -> None:
@@ -534,13 +533,11 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
 # linear solving over R
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     column: FreeElement
 
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(Record):
     residual: FreeElement
 
 

@@ -22,12 +22,11 @@ plain identifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (Coeff, ExpVec, ExponentOverflowError, MonomialOrder,
-                   Polynomial, format_polynomial, monomial_text)
+                   Polynomial, Record, format_polynomial, monomial_text)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DELTA_RE = re.compile(r"^d([0-9]+)$")
@@ -49,8 +48,7 @@ class RingParseError(ValueError):
 # ring specification
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """An affine algebra R = Q[x_1..x_s]/(f_1..f_m) with optional weights.
 
     The ring's grading gives x_i its declared weight, or 1 when no weights
@@ -113,15 +111,14 @@ def make_ringspec(variables: Sequence[str],
 # generator labels
 
 
-class Label:
-    """Base class for generator labels: frozen dataclasses that print as
-    their rendering."""
+class Label(Record):
+    """Base class for generator labels: records that print as their
+    rendering."""
 
     def __repr__(self):
         return self.render()
 
 
-@dataclass(frozen=True, repr=False)
 class PlainLabel(Label):
     name: str
 
@@ -133,7 +130,6 @@ class PlainLabel(Label):
         return self.name
 
 
-@dataclass(frozen=True, repr=False)
 class DeltaLabel(Label):
     """delta^(q)(x^alpha): rendered d{q}(monomial)."""
 
@@ -145,7 +141,6 @@ class DeltaLabel(Label):
         return "d%d(%s)" % (self.q, monomial_text(self.exps, self.variables))
 
 
-@dataclass(frozen=True, repr=False)
 class JetLabel(Label):
     """Jet generator Delta_q(x^beta * inner): rendered D{q}[inner](monomial)."""
 
@@ -159,7 +154,6 @@ class JetLabel(Label):
                                 monomial_text(self.exps, self.variables))
 
 
-@dataclass(frozen=True, repr=False)
 class SymLabel(Label):
     """Unordered symmetric pair: rendered s(a,b) with a fixed factor order."""
 

@@ -39,6 +39,57 @@ KEY_MEMO_LIMIT = 1 << 14
 _set = object.__setattr__
 
 
+class Record:
+    """Immutable value whose fields are the annotated names of its class and
+    bases, in declaration order, given by position or keyword; a class-level
+    value is a default.  ``__post_init__`` runs after the fields are set.
+    A record equals only a record of its own class with equal fields and
+    hashes as the tuple of its field values."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names, values = type(self), self._fields, self.__dict__
+        if len(args) > len(names):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(names)))
+        values.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError("%s needs field %r" % (cls.__name__, name))
+        if kwargs:
+            raise TypeError("%s has no free field %s"
+                            % (cls.__name__, ", ".join(kwargs)))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in self.__dict__.items()))
+
+
 class ExponentOverflowError(OverflowError):
     """A monomial exponent exceeded EXPONENT_LIMIT."""
 

@@ -19,12 +19,11 @@ resolution.minimal_presentation uses the same step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Polynomial
+from .poly import Polynomial, Record
 from .parser import (Label, PlainLabel, RingSpec, SymLabel,
                      parse_presentation_doc)
 from .groebner import (
@@ -38,8 +37,7 @@ from .groebner import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     ring: RingSpec
     generators: Tuple[Label, ...]
     relations: Tuple[FreeElement, ...]
@@ -68,8 +66,7 @@ class Presentation:
         return tuple(one if i == index else zero for i in range(self.ngens))
 
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(Record):
     source: Presentation
     target: Presentation
     columns: Tuple[FreeElement, ...]

@@ -25,13 +25,12 @@ when the cutoff cut it short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Coeff, Polynomial, partial_derivative
+from .poly import Coeff, Polynomial, Record, partial_derivative
 from .parser import RingSpec
 from .groebner import (FreeElement, krull_dimension, nf_poly, prune_rows,
                        row_lead_key, submodule_over_ring, syzygies_over_ring)
@@ -40,8 +39,7 @@ from .presentations import Presentation, _clear_column, _row_degrees
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(Record):
     module: Presentation
     steps: Tuple[Matrix, ...]
     betti: Tuple[int, ...]
@@ -50,16 +48,14 @@ class ResolutionReport:
     graded: bool
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Record):
     value: int
 
     def __str__(self) -> str:
         return "pd = %d" % self.value
 
 
-@dataclass(frozen=True)
-class AtLeast:
+class AtLeast(Record):
     value: int
 
     def __str__(self) -> str:

@@ -4,7 +4,10 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -44,6 +47,20 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_startup_imports_no_verify_only_modules():
+    # every request starts a cold interpreter, so what `import
+    # kahlerlab.cli` loads is paid per request: dataclasses (with inspect)
+    # costs milliseconds, and only structured output uses json
+    code = ("import sys; before = set(sys.modules); import kahlerlab.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    added = set(done.stdout.split())
+    assert done.returncode == 0 and "kahlerlab.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
 
 
 def test_omega_text_output(capsys, cusp_file):

@@ -53,6 +53,16 @@ def test_cusp_ideal_normal_forms():
     assert not basis.contains((p("y", CUSP),))
 
 
+def test_normal_form_stores_integral_coefficients_as_ints():
+    # the fraction-free remainder carries a multiplier of 2 here
+    got = nf_poly(p("1/2*y^2 + 1/2*x^3 + 2*x", CUSP), CUSP)
+    assert got == p("x^3 + 2*x", CUSP)
+    assert [type(c) for c in got.terms.values()] == [int, int]
+    got = nf_poly(p("1/2*y^2 + 1/3*x", CUSP), CUSP)
+    assert got.terms == {(3, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)}
+    assert [type(c) for c in got.terms.values()] == [Fraction, Fraction]
+
+
 def test_ex316_ideal_is_self_groebner():
     basis = submodule_over_ring((), 1, EX316)
     rows = basis.groebner_rows()
@@ -659,6 +669,7 @@ def test_solve_linear_reports_no_solution():
     out = solve_linear([(p("x"),)], [p("y")], PLANE)
     assert isinstance(out, NoSolution)
     assert not out.residual[0].is_zero()
+    assert out == NoSolution(out.residual) != Solution(out.residual)
 
 
 def test_solve_linear_multiple_rows():

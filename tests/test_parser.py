@@ -170,7 +170,9 @@ def test_sym_label_is_unordered():
     a = DeltaLabel(1, (1, 0), ring.variables)
     b = DeltaLabel(1, (0, 1), ring.variables)
     assert SymLabel(a, b) == SymLabel(b, a)
+    assert (SymLabel(b, a).a, SymLabel(b, a).b) == (a, b)
     assert SymLabel(a, b).render() == "s(d1(x),d1(y))"
+    assert repr(SymLabel(b, a)) == "s(d1(x),d1(y))"
     assert parse_label("s(d1(y),d1(x))", ring) == SymLabel(a, b)
     assert hash(SymLabel(a, b)) == hash(SymLabel(b, a))
 

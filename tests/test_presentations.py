@@ -65,6 +65,50 @@ def test_free_module_basics():
     assert presentation_is_zero(zero_presentation(PLANE))
 
 
+def test_presentation_is_a_frozen_record():
+    rows = ((p("x"), p("y")),)
+    m = Presentation(PLANE, gens("a", "b"), rows)
+    assert m.degrees is None
+    same = Presentation(ring=PLANE, generators=gens("a", "b"), relations=rows)
+    assert m == same and hash(m) == hash(same)
+    assert m != Presentation(PLANE, gens("a", "b"), rows, (0, 0))
+    with pytest.raises(AttributeError):
+        m.relations = ()
+    with pytest.raises(AttributeError):
+        del m.degrees
+    with pytest.raises(ValueError):
+        Presentation(PLANE, gens("a"), rows)
+
+
+def test_record_fields_follow_declaration_order():
+    # the fields come from each class's annotations, read at class creation
+    from kahlerlab.diffmod import SymmetricDerivation
+    from kahlerlab.groebner import NoSolution, Solution
+    from kahlerlab.parser import DeltaLabel, JetLabel, Label, RingSpec
+    from kahlerlab.resolution import AtLeast, Finite, ResolutionReport
+    assert {cls: cls._fields for cls in (
+        RingSpec, Label, PlainLabel, DeltaLabel, JetLabel, SymLabel,
+        Presentation, ModuleMap, Solution, NoSolution, SymmetricDerivation,
+        ResolutionReport, Finite, AtLeast)} == {
+        RingSpec: ("variables", "weights", "ideal", "assume_domain",
+                   "homogeneous"),
+        Label: (),
+        PlainLabel: ("name",),
+        DeltaLabel: ("q", "exps", "variables"),
+        JetLabel: ("q", "inner", "exps", "variables"),
+        SymLabel: ("a", "b"),
+        Presentation: ("ring", "generators", "relations", "degrees"),
+        ModuleMap: ("source", "target", "columns"),
+        Solution: ("column",),
+        NoSolution: ("residual",),
+        SymmetricDerivation: ("ring", "q", "omega", "sym", "images"),
+        ResolutionReport: ("module", "steps", "betti", "terminated",
+                           "cutoff", "graded"),
+        Finite: ("value",),
+        AtLeast: ("value",),
+    }
+
+
 def test_ring_as_module():
     r = ring_as_module(CUSP)
     assert r.ngens == 1

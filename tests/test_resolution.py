@@ -141,9 +141,17 @@ def test_projective_dimension_builds_only_the_minimal_chain(monkeypatch):
 
 def test_pd_verdict_types():
     assert Finite(1) == Finite(1)
+    assert hash(Finite(1)) == hash(Finite(value=1))
     assert Finite(1) != AtLeast(1)
     assert str(Finite(2)) == "pd = 2"
     assert str(AtLeast(5)) == "pd >= 5"
+    assert repr(Finite(2)) == "Finite(value=2)"
+    verdict = Finite(2)
+    with pytest.raises(AttributeError):
+        verdict.value = 3
+    with pytest.raises(AttributeError):
+        del verdict.value
+    assert verdict.value == 2
 
 
 def test_jacobian_regular():
