@@ -26,7 +26,8 @@ from math import comb, prod
 from operator import sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import ExpVec, Polynomial, Record, doubled_variables
+from .poly import (ExpVec, Polynomial, Record, _coefficient, _trusted,
+                   doubled_variables)
 from .parser import DeltaLabel, JetLabel, RingSpec, make_ringspec
 from .groebner import (FreeElement, NoSolution, _ideal_unit_rows, nf_poly,
                        prune_rows, solve_linear)
@@ -42,12 +43,13 @@ from .presentations import (
 )
 
 
-def _exponent_vectors(nvars: int, q: int, floor: int) -> List[ExpVec]:
+@lru_cache(maxsize=256)
+def _exponent_vectors(nvars: int, q: int, floor: int) -> Tuple[ExpVec, ...]:
     """All exponent vectors with floor <= total degree <= q, ascending."""
     out = [e for e in product(range(q + 1), repeat=nvars)
            if floor <= sum(e) <= q]
     out.sort(key=lambda e: (sum(e), tuple(-c for c in e)))
-    return out
+    return tuple(out)
 
 
 def delta_monomials(ring: RingSpec, q: int,
@@ -60,7 +62,7 @@ def delta_monomials(ring: RingSpec, q: int,
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    default = tuple(_exponent_vectors(len(ring.variables), q, 1))
+    default = _exponent_vectors(len(ring.variables), q, 1)
     if basis is None:
         return default
     basis = tuple(tuple(int(e) for e in m) for m in basis)
@@ -96,8 +98,8 @@ def _expansion_coords(h: Polynomial, ring: RingSpec,
                 continue
             s = (-1) ** k * comb(m - 1, k) if m else 1
             mult = prod(comb(a, b) for a, b in zip(e, beta))
-            slots[beta][tuple(map(sub, e, beta))] = c * mult * s
-    return tuple((beta, nf_poly(Polynomial(ring.variables, terms), ring))
+            slots[beta][tuple(map(sub, e, beta))] = _coefficient(c * mult * s)
+    return tuple((beta, nf_poly(_trusted(ring.variables, terms), ring))
                  for beta, terms in slots.items())
 
 
@@ -174,7 +176,7 @@ def delta_expand_via_products(h: Polynomial, ring: RingSpec,
 
 
 def _jet_monomials(ring: RingSpec, q: int) -> Tuple[ExpVec, ...]:
-    return tuple(_exponent_vectors(len(ring.variables), q, 0))
+    return _exponent_vectors(len(ring.variables), q, 0)
 
 
 def jet_expand(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
@@ -189,7 +191,7 @@ def jet_expand(element: FreeElement, ring: RingSpec, q: int) -> FreeElement:
 # module presentations
 
 
-def _ideal_shifts(ring: RingSpec, q: int) -> List[ExpVec]:
+def _ideal_shifts(ring: RingSpec, q: int) -> Tuple[ExpVec, ...]:
     """Shifts x^gamma, |gamma| <= q-1, of an ideal generator f that can add
     a relation.  Modulo I and Delta^(q+1), 1(x)x^gamma f is
     sum_eta C(gamma,eta) x^(gamma-eta) delta^eta(1(x)f), and the eta = gamma
@@ -520,7 +522,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     order = ring.order()
     nvars = len(ring.variables)
 
-    def ansatz(forced_degree: Optional[int]) -> List[ExpVec]:
+    def ansatz(forced_degree: Optional[int]) -> Sequence[ExpVec]:
         if graded:
             return [e for e in product(range(forced_degree + 1), repeat=nvars)
                     if order.degree(e) == forced_degree]

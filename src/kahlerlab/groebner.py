@@ -120,29 +120,31 @@ def _vec_divide(vec: Vec, m: int) -> None:
             vec[key] = _coefficient(Fraction(c, m))
 
 
-def _make_primitive(vec: Vec, order: MonomialOrder) -> None:
-    """Scale to coprime int coefficients with a positive lead."""
-    if not vec:
-        return
-    den = 1
-    for c in vec.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in vec.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
-    if vec[_lead(vec, order)] < 0:
+def _make_primitive(vec: Vec, order: MonomialOrder) -> Term:
+    """Scale a nonzero vec to coprime int coefficients with a positive
+    lead, in place; returns the lead."""
+    lead = _lead(vec, order)
+    values = vec.values()
+    if any(type(c) is not int for c in values):
+        den = lcm(*(c.denominator for c in values))
+        for key, c in vec.items():
+            vec[key] = c.numerator * (den // c.denominator)
+    num = gcd(*values)
+    if vec[lead] < 0:
         num = -num
-    for key, c in vec.items():
-        vec[key] = c.numerator * (den // c.denominator) // num
+    if num != 1:
+        for key, c in vec.items():
+            vec[key] = c // num
+    return lead
 
 
 class _Elt:
     __slots__ = ("vec", "lead", "lc")
 
-    def __init__(self, vec: Vec, order: MonomialOrder):
+    def __init__(self, vec: Vec, lead: Term):
         self.vec = vec
-        self.lead = _lead(vec, order)
-        self.lc = vec[self.lead]
+        self.lead = lead
+        self.lc = vec[lead]
 
 
 def _reduce(vec: Vec, elements: List[_Elt], by_pos: Dict[int, List[int]],
@@ -224,8 +226,7 @@ class _BuchbergerRun:
         """Take a nonzero element in: one that leads with a tag is a
         syzygy, shifted down by rank; any other joins the basis and updates
         the pairs."""
-        _make_primitive(vec, self.order)
-        elt = _Elt(vec, self.order)
+        elt = _Elt(vec, _make_primitive(vec, self.order))
         pos, lead = elt.lead
         if pos >= self.rank:
             self.syzygies.append({(p - self.rank, exps): c

@@ -3,7 +3,10 @@
 A polynomial is an immutable map from exponent vectors to nonzero int or
 `fractions.Fraction` coefficients, tagged with an ordered variable list.
 The public constructor checks its input and stores an integral value as an
-int; arithmetic on valid polynomials builds its results unchecked.
+int.  The named constructors (`zero`, `const`, `variable`, `monomial`)
+check only the arguments their caller supplies, and arithmetic on valid
+polynomials builds its results unchecked: what the program built itself
+is trusted, not validated again.
 Everything downstream (Groebner bases, module presentations, differential
 expansions) is built on three things provided here:
 
@@ -165,6 +168,8 @@ class MonomialOrder:
 
 def _coefficient(value) -> Coeff:
     """An exact coefficient, int if integral; no float: Fraction(1/3) != 1/3."""
+    if type(value) is int:
+        return value
     if type(value) is not Fraction:
         if isinstance(value, float):
             raise TypeError("float coefficient %r: use int or Fraction" % (value,))
@@ -218,22 +223,30 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
-        return cls(variables, {})
+        return _trusted(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "Polynomial":
-        n = len(variables)
-        return cls(variables, {(0,) * n: value})
+        variables = tuple(variables)
+        value = _coefficient(value)
+        return _trusted(variables, {(0,) * len(variables): value} if value else {})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
+        variables = tuple(variables)
         idx = list(variables).index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: 1})
+        return _trusted(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: ExpVec, coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): coeff})
+        variables = tuple(variables)
+        exps = tuple(map(int, exps))
+        if len(exps) != len(variables):
+            raise ValueError("exponent vector %r has wrong length" % (exps,))
+        _check_exponents(exps)
+        coeff = _coefficient(coeff)
+        return _trusted(variables, {exps: coeff} if coeff else {})
 
     # -- predicates and views -----------------------------------------
 
@@ -338,6 +351,11 @@ class Polynomial:
         top = n * max(chain.from_iterable(self.terms), default=0)
         if top > EXPONENT_LIMIT:
             raise ExponentOverflowError("exponent %d exceeds limit" % top)
+        if len(self.terms) == 1:
+            # (c x^e)^n = c^n x^(n e); Fraction(1, 2) ** 0 is Fraction(1, 1)
+            (exps, c), = self.terms.items()
+            return _trusted(self.variables,
+                            {tuple(n * e for e in exps): _coefficient(c ** n)})
         out = Polynomial.const(self.variables, 1)
         base = self
         while n:

@@ -33,6 +33,7 @@ from kahlerlab.diffmod import (
     SymmetricDerivation,
     _back_substitute,
     _expansion_coords,
+    _exponent_vectors,
     apply_derivation,
     beta_to_sym,
     delta_expand,
@@ -80,6 +81,13 @@ def test_delta_basis_default_order():
     assert delta_monomials(PLANE, 2) == ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     labels = [l.render() for l in omega_presentation(PLANE, 2).generators]
     assert labels == ["d2(x)", "d2(y)", "d2(x^2)", "d2(x*y)", "d2(y^2)"]
+
+
+def test_exponent_vectors_are_one_shared_tuple_in_a_bounded_cache():
+    vecs = _exponent_vectors(2, 2, 1)
+    assert vecs == ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert type(vecs) is tuple and _exponent_vectors(2, 2, 1) is vecs
+    assert _exponent_vectors.cache_info().maxsize is not None
 
 
 def test_delta_basis_override_must_be_permutation():

@@ -194,6 +194,31 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
             == submodule_over_ring(rows, rank, EX316).groebner)
 
 
+@pytest.mark.parametrize("fractions", [False, True], ids=["ints", "mixed"])
+def test_make_primitive_returns_the_lead_of_a_primitive_multiple(fractions):
+    order = EX316.order()
+    rng = random.Random(9100 + fractions)
+    lead_signs = set()
+    for _ in range(200):
+        common = rng.randrange(1, 5)
+        vec = {}
+        for _ in range(rng.randrange(1, 6)):
+            term = (rng.randrange(3), tuple(rng.randrange(4) for _ in range(3)))
+            c = common * rng.choice((-1, 1)) * rng.randrange(1, 13)
+            if fractions and rng.random() < 0.5:
+                c = Fraction(c, rng.randrange(1, 7))
+            vec[term] = c
+        original = dict(vec)
+        lead = groebner._make_primitive(vec, order)
+        assert lead == groebner._lead(vec, order)
+        lead_signs.add(original[lead] > 0)
+        assert all(type(c) is int for c in vec.values())
+        assert gcd(*vec.values()) == 1 and vec[lead] > 0
+        ratio = Fraction(vec[lead]) / original[lead]
+        assert vec == {t: ratio * c for t, c in original.items()}
+    assert lead_signs == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # A rational reference engine: Fraction coefficients, each lead found by a
 # linear scan under `MonomialOrder.key`, no heap and no low keys.  It is the

@@ -101,6 +101,47 @@ def test_exponent_overflow_guard():
     assert (Polynomial((), {(): 2}) * Polynomial((), {(): 3})).terms == {(): 6}
 
 
+def _power_by_products(p, n):
+    out = Polynomial.const(p.variables, 1)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def test_named_constructors_and_one_term_powers_store_ints():
+    x = Polynomial.variable(XY, "x")
+    half_x = x.scale(Fraction(1, 2))
+    two = Polynomial.const(XY, Fraction(4, 2))
+    assert two.terms == {(0, 0): 2} and type(two.terms[(0, 0)]) is int
+    assert Polynomial.const(XY, 0).terms == {}
+    unit = half_x ** 0
+    assert unit.terms == {(0, 0): 1} and type(unit.terms[(0, 0)]) is int
+    assert half_x ** 3 == (x * x * x).scale(Fraction(1, 8))
+    three_quarters = Polynomial.monomial(XY, (2, 1), Fraction(-3, 4))
+    for p in (half_x, -x, three_quarters, two, Polynomial.zero(XY)):
+        for n in range(5):
+            got = p ** n
+            assert got == _power_by_products(p, n)
+            _assert_stored(got, public=True)
+    # the check before the fast path names the final exponent
+    with pytest.raises(ExponentOverflowError,
+                       match="exponent 1000000002 exceeds limit"):
+        Polynomial.monomial(XY, (2, 1)) ** (5 * 10 ** 8 + 1)
+
+
+def test_named_constructors_check_their_arguments():
+    with pytest.raises(ValueError):
+        Polynomial.variable(XY, "z")
+    with pytest.raises(TypeError):
+        Polynomial.const(XY, 0.5)
+    with pytest.raises(ValueError):
+        Polynomial.monomial(XY, (-1, 0))
+    with pytest.raises(ValueError):
+        Polynomial.monomial(XY, (1,))
+    with pytest.raises(ExponentOverflowError):
+        Polynomial.monomial(XY, (10 ** 9 + 1, 0))
+
+
 # A dict-of-Fraction reference for the arithmetic, which builds its results
 # without the public constructor: each result is compared by value and its
 # stored coefficients are checked.
