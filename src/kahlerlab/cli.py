@@ -430,6 +430,8 @@ _VERIFY_ITEMS = (
 def _load_corpus(corpus_dir: Optional[str]) -> Dict[str, RingSpec]:
     root = resources.files("kahlerlab").joinpath("corpus") \
         if corpus_dir is None else Path(corpus_dir)
+    if not root.is_dir():
+        raise NotADirectoryError("corpus is not a directory: %s" % root)
     rings: Dict[str, RingSpec] = {}
     for name in _CORPUS_NAMES:
         path = root.joinpath(name + ".ring")

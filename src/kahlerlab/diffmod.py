@@ -23,12 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
-from operator import sub
+from operator import index, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import (ExpVec, Polynomial, Record, _coefficient, _trusted,
                    doubled_variables)
-from .parser import DeltaLabel, JetLabel, RingSpec, make_ringspec
+from .parser import RingSpec, delta_label, jet_label, make_ringspec
 from .groebner import (FreeElement, NoSolution, _ideal_unit_rows, nf_poly,
                        prune_rows, solve_linear)
 from .presentations import (
@@ -65,7 +65,7 @@ def delta_monomials(ring: RingSpec, q: int,
     default = _exponent_vectors(len(ring.variables), q, 1)
     if basis is None:
         return default
-    basis = tuple(tuple(int(e) for e in m) for m in basis)
+    basis = tuple(tuple(map(index, m)) for m in basis)
     if sorted(basis) != sorted(default):
         raise ValueError(
             "basis must be a permutation of the %d monomials with "
@@ -225,7 +225,7 @@ def omega_presentation(ring: RingSpec, q: int,
     rows = prune_rows(_omega_rows(ring, q, monomials), len(monomials), ring)
     order = ring.order()
     return Presentation(
-        ring, tuple(DeltaLabel(q, m, ring.variables) for m in monomials),
+        ring, tuple(delta_label(q, m, ring.variables) for m in monomials),
         tuple(rows), tuple(order.degree(m) for m in monomials))
 
 
@@ -242,7 +242,7 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
         raise ValueError("q must be >= 1")
     betas = _jet_monomials(ring, q)
     k = m.ngens
-    gens = tuple(JetLabel(q, m.generators[t], beta, ring.variables)
+    gens = tuple(jet_label(q, m.generators[t], beta, ring.variables)
                  for beta in betas for t in range(k))
     degrees = None
     if m.degrees is not None:

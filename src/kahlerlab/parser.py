@@ -12,10 +12,11 @@ rational literals like 3/2 -- nothing else.  Presentation documents add two
 keys (`generators`, `relations`).  Ring and presentation texts parse back;
 maps and resolutions are written in the same statement syntax.
 
-Generator labels follow a fixed grammar so bases are typeable in tests:
+A generator label is its canonical text, made by the three label builders
+and read back by parse_label, in a fixed grammar so bases are typeable:
 ``d2(x^2)`` (order-2 differential generator), ``D1[d1(x)](y)`` (jet
 generator: inner label in brackets, multiplier monomial in parens),
-``s(d1(x),d1(y))`` (unordered symmetric pair, stored canonically), and
+``s(d1(x),d1(y))`` (unordered symmetric pair, factors sorted), and
 plain identifiers.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (Coeff, ExpVec, ExponentOverflowError, MonomialOrder,
@@ -91,7 +93,10 @@ def make_ringspec(variables: Sequence[str],
             raise RingParseError("duplicate variable %r" % name)
         seen.add(name)
     if weights is not None:
-        weights = tuple(int(w) for w in weights)
+        try:
+            weights = tuple(map(index, weights))
+        except TypeError:
+            raise RingParseError("weights must be integers") from None
         if len(weights) != len(variables):
             raise RingParseError("expected %d weights, got %d"
                                  % (len(variables), len(weights)))
@@ -111,63 +116,20 @@ def make_ringspec(variables: Sequence[str],
 # generator labels
 
 
-class Label(Record):
-    """Base class for generator labels: records that print as their
-    rendering."""
-
-    def __repr__(self):
-        return self.render()
+def delta_label(q: int, exps: ExpVec, variables: Sequence[str]) -> str:
+    """delta^(q)(x^alpha) as d{q}(monomial)."""
+    return "d%d(%s)" % (q, monomial_text(exps, variables))
 
 
-class PlainLabel(Label):
-    name: str
-
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError("plain label must be an identifier: %r" % self.name)
-
-    def render(self) -> str:
-        return self.name
+def jet_label(q: int, inner: str, exps: ExpVec,
+              variables: Sequence[str]) -> str:
+    """Jet generator Delta_q(x^beta * inner) as D{q}[inner](monomial)."""
+    return "D%d[%s](%s)" % (q, inner, monomial_text(exps, variables))
 
 
-class DeltaLabel(Label):
-    """delta^(q)(x^alpha): rendered d{q}(monomial)."""
-
-    q: int
-    exps: ExpVec
-    variables: Tuple[str, ...]
-
-    def render(self) -> str:
-        return "d%d(%s)" % (self.q, monomial_text(self.exps, self.variables))
-
-
-class JetLabel(Label):
-    """Jet generator Delta_q(x^beta * inner): rendered D{q}[inner](monomial)."""
-
-    q: int
-    inner: Label
-    exps: ExpVec
-    variables: Tuple[str, ...]
-
-    def render(self) -> str:
-        return "D%d[%s](%s)" % (self.q, self.inner.render(),
-                                monomial_text(self.exps, self.variables))
-
-
-class SymLabel(Label):
-    """Unordered symmetric pair: rendered s(a,b) with a fixed factor order."""
-
-    a: Label
-    b: Label
-
-    def __post_init__(self):
-        a, b = self.a, self.b
-        if b.render() < a.render():
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-    def render(self) -> str:
-        return "s(%s,%s)" % (self.a.render(), self.b.render())
+def sym_label(a: str, b: str) -> str:
+    """Unordered symmetric pair as s(a,b), its factors in sorted order."""
+    return "s(%s,%s)" % tuple(sorted((a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +321,7 @@ def parse_monomials(text: str, ring: RingSpec) -> Tuple[ExpVec, ...]:
         ts, lambda s: _parse_monomial(s, ring))))
 
 
-def _parse_label(ts: _Stream, ring: RingSpec) -> Label:
+def _parse_label(ts: _Stream, ring: RingSpec) -> str:
     tok = ts.expect("ident", "a generator label")
     name = tok[1]
     if name == "s" and ts.at("("):
@@ -368,13 +330,13 @@ def _parse_label(ts: _Stream, ring: RingSpec) -> Label:
         ts.expect(",", "a comma")
         b = _parse_label(ts, ring)
         ts.expect(")", "a closing parenthesis")
-        return SymLabel(a, b)
+        return sym_label(a, b)
     m = _DELTA_RE.match(name)
     if m and ts.at("("):
         ts.next()
         exps = _parse_monomial(ts, ring)
         ts.expect(")", "a closing parenthesis")
-        return DeltaLabel(int(m.group(1)), exps, ring.variables)
+        return delta_label(int(m.group(1)), exps, ring.variables)
     m = _JET_RE.match(name)
     if m and ts.at("["):
         ts.next()
@@ -383,11 +345,11 @@ def _parse_label(ts: _Stream, ring: RingSpec) -> Label:
         ts.expect("(", "an opening parenthesis")
         exps = _parse_monomial(ts, ring)
         ts.expect(")", "a closing parenthesis")
-        return JetLabel(int(m.group(1)), inner, exps, ring.variables)
-    return PlainLabel(name)
+        return jet_label(int(m.group(1)), inner, exps, ring.variables)
+    return name
 
 
-def parse_label(text: str, ring: RingSpec) -> Label:
+def parse_label(text: str, ring: RingSpec) -> str:
     return _finish(_Stream(_tokenize(text)), lambda ts: _parse_label(ts, ring))
 
 
@@ -488,12 +450,10 @@ def parse_presentation_doc(text: str):
 
 
 def _doc(value, order: MonomialOrder):
-    """A statement value in structured form: polynomials and labels as
-    text, sequences as lists, anything else as it is."""
+    """A statement value in structured form: polynomials as text,
+    sequences as lists, anything else as it is."""
     if isinstance(value, Polynomial):
         return format_polynomial(value, order)
-    if isinstance(value, Label):
-        return value.render()
     if isinstance(value, (list, tuple)):
         return [_doc(v, order) for v in value]
     return value

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import perm
-from operator import add
+from operator import add, index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 ExpVec = Tuple[int, ...]
@@ -75,10 +75,11 @@ class Record:
     def __post_init__(self):
         pass
 
-    def __setattr__(self, name, value=None):
+    def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -127,9 +128,9 @@ class MonomialOrder:
 
     def __init__(self, weights: Optional[Sequence[int]] = None):
         if weights is not None:
+            weights = tuple(map(index, weights))
             if any(w < 1 for w in weights):
                 raise ValueError("weights must be >= 1")
-            weights = tuple(int(w) for w in weights)
         self.weights = weights
         self._low_keys: Dict[ExpVec, tuple] = {}
 
@@ -204,15 +205,14 @@ class Polynomial:
         clean: Dict[ExpVec, Coeff] = {}
         n = len(variables)
         for exps, coeff in terms.items():
-            if type(coeff) is not int:
-                coeff = _coefficient(coeff)
-            if not coeff:
-                continue
-            exps = tuple(map(int, exps))
+            exps = tuple(map(index, exps))
             if len(exps) != n:
                 raise ValueError("exponent vector %r has wrong length" % (exps,))
             _check_exponents(exps)
-            clean[exps] = coeff
+            if type(coeff) is not int:
+                coeff = _coefficient(coeff)
+            if coeff:
+                clean[exps] = coeff
         _set(self, "variables", variables)
         _set(self, "terms", clean)
 
@@ -241,7 +241,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, variables: Sequence[str], exps: ExpVec, coeff=1) -> "Polynomial":
         variables = tuple(variables)
-        exps = tuple(map(int, exps))
+        exps = tuple(map(index, exps))
         if len(exps) != len(variables):
             raise ValueError("exponent vector %r has wrong length" % (exps,))
         _check_exponents(exps)

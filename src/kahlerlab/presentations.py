@@ -24,8 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, Record
-from .parser import (Label, PlainLabel, RingSpec, SymLabel,
-                     parse_presentation_doc)
+from .parser import RingSpec, parse_presentation_doc, sym_label
 from .groebner import (
     FreeElement,
     SubmoduleBasis,
@@ -39,7 +38,7 @@ from .groebner import (
 
 class Presentation(Record):
     ring: RingSpec
-    generators: Tuple[Label, ...]
+    generators: Tuple[str, ...]
     relations: Tuple[FreeElement, ...]
     degrees: Optional[Tuple[int, ...]] = None
 
@@ -79,7 +78,7 @@ class ModuleMap(Record):
                 raise ValueError("column length does not match target")
 
 
-def free_presentation(ring: RingSpec, labels: Sequence[Label]) -> Presentation:
+def free_presentation(ring: RingSpec, labels: Sequence[str]) -> Presentation:
     return Presentation(ring, tuple(labels), ())
 
 
@@ -89,7 +88,7 @@ def zero_presentation(ring: RingSpec) -> Presentation:
 
 def ring_as_module(ring: RingSpec) -> Presentation:
     """R itself, one generator `e`, no extra relations beyond the ideal."""
-    return Presentation(ring, (PlainLabel("e"),), (), (0,))
+    return Presentation(ring, ("e",), (), (0,))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -178,7 +177,7 @@ def kernel(f: ModuleMap) -> Tuple[Presentation, ModuleMap]:
     ncols = src.ngens
     raw = syzygies_over_ring(f.columns, tgt.ngens, ring, tgt.relations)
     gens = prune_rows(raw, ncols, ring, base=src.relations)
-    labels = tuple(PlainLabel("k%d" % i) for i in range(len(gens)))
+    labels = tuple("k%d" % i for i in range(len(gens)))
     if not gens:
         k = zero_presentation(ring)
         return k, zero_map(k, src)
@@ -292,7 +291,7 @@ def symmetric_square(m: Presentation) -> Presentation:
     gens = m.generators
     n = len(gens)
     pair_index = _pair_index(n)
-    labels = [SymLabel(gens[i], gens[j]) for (i, j) in pair_index]
+    labels = [sym_label(gens[i], gens[j]) for (i, j) in pair_index]
     zero = m.ring.zero()
     rows: List[FreeElement] = []
     for row in m.relations:

@@ -309,6 +309,14 @@ def test_verify_paper_on_partial_corpus(capsys, tmp_path):
     assert "SKIP" in out  # items needing cusp/ex316 are skipped with a note
 
 
+def test_verify_paper_corpus_must_be_a_directory(capsys, tmp_path, cusp_file):
+    for corpus in (str(tmp_path / "missing"), cusp_file):
+        code, out, err = run(capsys, [
+            "verify-paper", "--corpus", corpus, "--cases", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and corpus in err
+
+
 def test_verify_paper_detects_perturbed_ring(capsys, tmp_path):
     (tmp_path / "cusp.ring").write_text(
         "vars = [x, y];\nweights = [2, 3];\nideal = [y^2 - x^3 + x];\n"
@@ -422,6 +430,12 @@ RECORDED_STDOUT = {
         "7fbe4fad2ea95d6352557b37347a3e96d36b821b9e8337eb38813ccf91dd58dd",
     "regular --ring poly2":
         "45ac64cb4d2b7c5be0d3b409d6ea96a09e1527730b50f4ccf4bfa5d3631aa9d1",
+    # symmetric pairs ordered by multi-character labels (d2(x*y), d2(x^2))
+    "sym2 -q 2 --ring cusp":
+        "068fe888affa5057ae9d34f6a83e0d7839a141abe8e194a4342c4cc8ea3bb8f3",
+    # jet generators D2[e](...) over R itself
+    "jets -q 2 --module ring --ring cusp":
+        "0ba75ac0d6903eb550ce284b10860dea7b326e5ba4fc5fd18756a2cb08eda51f",
 }
 
 

@@ -6,11 +6,9 @@ import pytest
 
 from kahlerlab.parser import (
     NESTING_LIMIT,
-    DeltaLabel,
-    JetLabel,
-    PlainLabel,
     RingParseError,
-    SymLabel,
+    delta_label,
+    jet_label,
     make_ringspec,
     parse_label,
     parse_monomials,
@@ -19,6 +17,7 @@ from kahlerlab.parser import (
     parse_ringspec,
     ring_statements,
     statements_text,
+    sym_label,
 )
 from kahlerlab.poly import Polynomial, format_polynomial
 
@@ -82,6 +81,11 @@ def test_statement_grammar_errors(text, line, col):
     with pytest.raises(RingParseError) as err:
         parse_ringspec(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_non_integral_weights_are_refused():
+    with pytest.raises(RingParseError, match="weights must be integers"):
+        make_ringspec(("x", "y"), weights=(2.5, 3))
 
 
 def test_parse_error_carries_position():
@@ -152,29 +156,33 @@ def test_poly_format_round_trip():
 
 def test_labels_render_and_parse():
     ring = make_ringspec(("x", "y"))
-    d = DeltaLabel(2, (2, 0), ring.variables)
-    assert d.render() == "d2(x^2)"
+    d = delta_label(2, (2, 0), ring.variables)
+    assert d == "d2(x^2)"
     assert parse_label("d2(x^2)", ring) == d
+    # parsing gives the canonical text of the monomial
+    assert parse_label("d2(x*x)", ring) == d
 
-    j = JetLabel(1, DeltaLabel(1, (1, 0), ring.variables), (0, 1), ring.variables)
-    assert j.render() == "D1[d1(x)](y)"
+    j = jet_label(1, delta_label(1, (1, 0), ring.variables), (0, 1),
+                  ring.variables)
+    assert j == "D1[d1(x)](y)"
     assert parse_label("D1[d1(x)](y)", ring) == j
+    assert parse_label("D1[d1(x^1)](1*y)", ring) == j
 
-    base = JetLabel(1, PlainLabel("e"), (0, 0), ring.variables)
-    assert base.render() == "D1[e](1)"
+    base = jet_label(1, "e", (0, 0), ring.variables)
+    assert base == "D1[e](1)"
     assert parse_label("D1[e](1)", ring) == base
+    # a plain label is the identifier itself
+    assert parse_label("k0", ring) == "k0"
 
 
 def test_sym_label_is_unordered():
     ring = make_ringspec(("x", "y"))
-    a = DeltaLabel(1, (1, 0), ring.variables)
-    b = DeltaLabel(1, (0, 1), ring.variables)
-    assert SymLabel(a, b) == SymLabel(b, a)
-    assert (SymLabel(b, a).a, SymLabel(b, a).b) == (a, b)
-    assert SymLabel(a, b).render() == "s(d1(x),d1(y))"
-    assert repr(SymLabel(b, a)) == "s(d1(x),d1(y))"
-    assert parse_label("s(d1(y),d1(x))", ring) == SymLabel(a, b)
-    assert hash(SymLabel(a, b)) == hash(SymLabel(b, a))
+    a = delta_label(1, (1, 0), ring.variables)
+    b = delta_label(1, (0, 1), ring.variables)
+    assert sym_label(a, b) == sym_label(b, a) == "s(d1(x),d1(y))"
+    assert parse_label("s(d1(y),d1(x))", ring) == "s(d1(x),d1(y))"
+    # factors are ordered as whole labels: "*" sorts before "^"
+    assert sym_label("d2(x^2)", "d2(x*y)") == "s(d2(x*y),d2(x^2))"
 
 
 def test_label_parse_errors():
@@ -202,7 +210,7 @@ generators = [d1(x), d1(y)];
 relations = [[-3*x^2, 2*y]];
 """
     ring, labels, rows = parse_presentation_doc(text)
-    assert [g.render() for g in labels] == ["d1(x)", "d1(y)"]
+    assert labels == ("d1(x)", "d1(y)")
     assert len(rows) == 1 and len(rows[0]) == 2
     assert rows[0][0] == parse_poly("-3*x^2", ring)
 

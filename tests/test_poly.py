@@ -48,6 +48,19 @@ def test_normalization_drops_zero_coefficients():
     p = Polynomial(XY, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms
     assert p == P({(0, 1): 2})
+    # each exponent vector is checked before its zero coefficient is dropped
+    for exps in ((-1, 0), (1,)):
+        with pytest.raises(ValueError):
+            Polynomial(XY, {exps: 0})
+
+
+def test_non_integral_exponents_and_weights_are_refused():
+    for build in (lambda: Polynomial(XY, {(1.7, 0): 1}),
+                  lambda: Polynomial.monomial(XY, (1.0, 0)),
+                  lambda: MonomialOrder((2.5, 3))):
+        with pytest.raises(TypeError):
+            build()
+    assert Polynomial(XY, {(True, 0): 1}) == Polynomial.variable(XY, "x")
 
 
 def test_arithmetic_matches_naive_model():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kahlerlab.parser import PlainLabel, make_ringspec, parse_poly, parse_ringspec
+from kahlerlab.parser import make_ringspec, parse_poly, parse_ringspec
 from kahlerlab.presentations import (
     Presentation,
     free_presentation,
@@ -33,7 +33,7 @@ def p(text, ring=PLANE):
 
 
 def test_free_module_resolution_is_trivial():
-    m = free_presentation(PLANE, (PlainLabel("a"), PlainLabel("b")))
+    m = free_presentation(PLANE, ("a", "b"))
     r = free_resolution(m, cutoff=4)
     assert r.betti == (2,)
     assert r.steps == ()
@@ -81,7 +81,7 @@ def test_cusp_symmetric_square_resolution():
 
 
 def test_resolution_steps_compose_to_zero():
-    m = Presentation(SQUARE, (PlainLabel("g"),), ((parse_poly("x", SQUARE),),))
+    m = Presentation(SQUARE, ("g",), ((parse_poly("x", SQUARE),),))
     r = free_resolution(m, cutoff=4)
     assert len(r.steps) >= 2
     for upper, lower in zip(r.steps[1:], r.steps):
@@ -95,7 +95,7 @@ def test_resolution_steps_compose_to_zero():
 
 def test_non_terminating_resolution_reports_at_least():
     # over Q[x]/(x^2) the module R/(x) has an infinite periodic resolution
-    m = Presentation(SQUARE, (PlainLabel("g"),), ((parse_poly("x", SQUARE),),))
+    m = Presentation(SQUARE, ("g",), ((parse_poly("x", SQUARE),),))
     r = free_resolution(m, cutoff=3)
     assert not r.terminated
     assert r.betti == (1, 1, 1, 1)
@@ -103,7 +103,7 @@ def test_non_terminating_resolution_reports_at_least():
 
 
 def test_minimal_presentation_sweeps_constants():
-    m = Presentation(PLANE, (PlainLabel("a"), PlainLabel("b")),
+    m = Presentation(PLANE, ("a", "b"),
                      ((p("x"), p("2")), (p("x*y"), p("2*y"))))
     mp = minimal_presentation(m)
     assert mp.ngens == 1
@@ -111,13 +111,13 @@ def test_minimal_presentation_sweeps_constants():
 
 
 def test_minimal_presentation_keeps_needed_relations():
-    m = Presentation(PLANE, (PlainLabel("a"),), ((p("x"),),))
+    m = Presentation(PLANE, ("a",), ((p("x"),),))
     mp = minimal_presentation(m)
     assert mp.ngens == 1 and len(mp.relations) == 1
 
 
 def test_minimal_resolution_sweeps_a_unit_pivot():
-    m = Presentation(PLANE, (PlainLabel("a"), PlainLabel("b")),
+    m = Presentation(PLANE, ("a", "b"),
                      ((p("x"), p("2")),))
     raw = free_resolution(m, cutoff=3)
     assert raw.betti == (2, 1)
@@ -135,7 +135,7 @@ def test_projective_dimension_builds_only_the_minimal_chain(monkeypatch):
     monkeypatch.setattr(resolution, "free_resolution", forbidden)
     assert projective_dimension(omega_presentation(CUSP, 1)) == Finite(1)
     # k = R/(x) over Q[x]/(x^2) has the periodic resolution ... -> R -x-> R
-    residue = Presentation(SQUARE, (PlainLabel("a"),), ((p("x", SQUARE),),))
+    residue = Presentation(SQUARE, ("a",), ((p("x", SQUARE),),))
     assert projective_dimension(residue, cutoff=4) == AtLeast(4)
 
 
