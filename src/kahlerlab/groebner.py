@@ -50,6 +50,23 @@ modulo span(base) + I*P^rank; a `SubmoduleBasis` is the untagged run with
 its rows as `base`, and every basis, the ring's own `ring_groebner`
 included, is built over a ring.
 
+Graded completion.  When the ring is weighted homogeneous and `_grading`
+finds a degree shift per position under which every input row is
+homogeneous, a term x^a*e_k has module degree deg(a) + shift_k, and every
+working element is homogeneous.  `complete(upto)` pops the pairs in the
+same heap order, but a pair whose degree (its lcm's plus its position's
+shift) exceeds upto is held in a second heap keyed by that degree, until a
+later call asks for it; the B criterion filters the held pairs as well.
+A pair of degree d reduces to degree d by elements of degree <= d alone,
+so the run builds exactly the elements of degree <= upto that a full
+completion builds, in the same relative order.  They form a Groebner
+basis up to degree upto, which decides membership in every degree <= upto
+(Kreuzer-Robbiano, *Computational Commutative Algebra 2*).  `prune_rows`
+completes up to each row's degree and `solve_linear` up to the degree of
+b, so both answer exactly as a full completion does; on ungraded input
+they complete in full, as `SubmoduleBasis` and `syzygies_over_ring`
+always do.
+
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of `solve_linear`; `_BuchbergerRun` is
 the one pair loop, completed by `_ring_run` and resumed row by row by
@@ -210,17 +227,29 @@ class _BuchbergerRun:
     rank-1 run: a tagged run keeps its coprime pairs, whose Koszul
     syzygies it must record.  The term syzygies of the pairs kept still
     generate the syzygies of the leads, so by Schreyer's theorem the
-    recorded syzygies generate them all (see the module docstring).
+    recorded syzygies generate them all (see the module docstring).  A run
+    graded by per-position `shifts` completes up to a degree when asked;
+    the pairs above it wait in `held`.
     """
 
-    def __init__(self, order: MonomialOrder, rank: int, tagged: bool):
+    def __init__(self, order: MonomialOrder, rank: int, tagged: bool,
+                 shifts: Optional[List[int]] = None):
         self.order = order
         self.rank = rank
         self.tagged = tagged
+        self.shifts = shifts
         self.elements: List[_Elt] = []
         self.by_pos: Dict[int, List[int]] = {}
         self.pairs: List[Tuple] = []
+        self.held: List[Tuple] = []
         self.syzygies: List[Vec] = []
+
+    def degree(self, vec: Vec) -> Optional[int]:
+        """The module degree of a nonzero vec on a graded run, else None."""
+        if self.shifts is None or not vec:
+            return None
+        pos, exps = next(iter(vec))
+        return self.order.degree(exps) + self.shifts[pos]
 
     def add(self, vec: Vec) -> None:
         """Take a nonzero element in: one that leads with a tag is a
@@ -236,13 +265,14 @@ class _BuchbergerRun:
         def lcm_with(i: int) -> ExpVec:
             return tuple(map(max, self.elements[i].lead[1], lead))
 
-        # B, on the pending pairs at this position
-        pending = [p for p in self.pairs
-                   if p[1] != pos or not _divides(lead, p[4])
-                   or lcm_with(p[2]) == p[4] or lcm_with(p[3]) == p[4]]
-        if len(pending) < len(self.pairs):
-            heapq.heapify(pending)
-            self.pairs = pending
+        # B, on the pending and the held pairs at this position
+        for name in ("pairs", "held"):
+            old = getattr(self, name)
+            kept = [p for p in old if p[-4] != pos or not _divides(lead, p[-1])
+                    or lcm_with(p[-3]) == p[-1] or lcm_with(p[-2]) == p[-1]]
+            if len(kept) < len(old):
+                heapq.heapify(kept)
+                setattr(self, name, kept)
         # F, M and the product criterion, on the new pairs
         product = not self.tagged and self.rank == 1
         first: Dict[ExpVec, int] = {}
@@ -263,10 +293,21 @@ class _BuchbergerRun:
         self.elements.append(elt)
         self.by_pos.setdefault(pos, []).append(idx)
 
-    def complete(self) -> None:
-        """Drain the pair heap; the working elements are then a GB."""
+    def complete(self, upto: Optional[int] = None) -> None:
+        """Reduce the pairs in heap order, on a graded run only those of
+        module degree <= upto (all when upto is None); the working elements
+        of degree <= upto are then a GB up to that degree.  A pair above
+        upto waits in `held` until a later call asks for its degree."""
+        while self.held and (upto is None or self.held[0][0] <= upto):
+            heapq.heappush(self.pairs, heapq.heappop(self.held)[1:])
         while self.pairs:
-            _, _, i, j, lcm_exps = heapq.heappop(self.pairs)
+            pair = heapq.heappop(self.pairs)
+            _, pos, i, j, lcm_exps = pair
+            if upto is not None:
+                degree = self.order.degree(lcm_exps) + self.shifts[pos]
+                if degree > upto:
+                    heapq.heappush(self.held, (degree, *pair))
+                    continue
             gi, gj = self.elements[i], self.elements[j]
             shift_i = tuple(map(sub, lcm_exps, gi.lead[1]))
             shift_j = tuple(map(sub, lcm_exps, gj.lead[1]))
@@ -278,12 +319,17 @@ class _BuchbergerRun:
                 self.add(remainder)
 
     def absorb(self, vec: Vec) -> bool:
-        """On a completed untagged run: False if vec lies in the submodule,
-        else add its remainder, complete the new pairs, True."""
+        """On an untagged run, completed up to vec's degree first: False if
+        vec lies in the submodule (at once when it is zero), else add its
+        remainder, complete again, True."""
+        if not vec:
+            return False
+        degree = self.degree(vec)
+        self.complete(degree)
         remainder, _ = _reduce(vec, self.elements, self.by_pos, self.order)
         if remainder:
             self.add(remainder)
-            self.complete()
+            self.complete(degree)
         return bool(remainder)
 
 
@@ -449,12 +495,50 @@ def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
     return rows
 
 
+def _grading(rows: Sequence[FreeElement], rank: int,
+             ring: RingSpec) -> Optional[List[int]]:
+    """Per-position degree shifts under which every row is homogeneous:
+    a nonzero entry at position k has weighted degree d - shifts[k], d the
+    row's degree.  Positions a row links get consistent shifts, each linked
+    set starting from 0.  None when the ring or an entry is not homogeneous
+    or no shifts fit."""
+    if not ring.homogeneous:
+        return None
+    degrees = [[(k, p.homogeneous_degree(ring.weights))
+                for k, p in enumerate(row) if p.terms] for row in rows]
+    at: Dict[int, List[int]] = {}
+    for i, row in enumerate(degrees):
+        for k, h in row:
+            if h is None:
+                return None
+            at.setdefault(k, []).append(i)
+    shifts: Dict[int, int] = {}
+    seen = set()
+    for start in at:
+        if start in shifts:
+            continue
+        shifts[start] = 0
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for i in set(at[k]) - seen:
+                seen.add(i)
+                d = shifts[k] + dict(degrees[i])[k]
+                for pos, h in degrees[i]:
+                    if shifts.setdefault(pos, d - h) != d - h:
+                        return None
+                    stack.append(pos)
+    return [shifts.get(k, 0) for k in range(rank)]
+
+
 def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
-              base: Sequence[FreeElement] = ()) -> _BuchbergerRun:
-    """Completed run over P on the rows, then `base`, then I*P^rank; the
-    rows alone carry tags, so a zero row is all tag and a zero untagged
-    row, adding nothing to the span, is skipped."""
-    run = _BuchbergerRun(ring.order(), rank, tagged=bool(rows))
+              base: Sequence[FreeElement] = (),
+              shifts: Optional[List[int]] = None) -> _BuchbergerRun:
+    """Run over P on the rows, then `base`, then I*P^rank; the rows alone
+    carry tags, so a zero row is all tag and a zero untagged row, adding
+    nothing to the span, is skipped.  The run is completed unless `shifts`
+    grade it: a graded run completes only as far as its caller asks."""
+    run = _BuchbergerRun(ring.order(), rank, bool(rows), shifts)
     one = (0,) * len(ring.variables)
     items = [_as_row(r, rank, ring) for r in (*rows, *base)]
     for i, row in enumerate(items + _ideal_unit_rows(rank, ring)):
@@ -463,7 +547,8 @@ def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
             vec[(rank + i, one)] = 1
         if vec:
             run.add(vec)
-    run.complete()
+    if shifts is None:
+        run.complete()
     return run
 
 
@@ -518,10 +603,12 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     relations, say); they are never returned.  One resumable Buchberger run
     over P, seeded with `base` and I*P^rank, serves the whole call: each
     nf_poly'd row is reduced against its working elements, a Groebner basis
-    of span(kept + base) + I*P^rank; a zero remainder means membership,
-    otherwise the remainder joins the run and the row itself is kept.
+    of span(kept + base) + I*P^rank, up to the row's degree when the rows
+    and `base` are graded; a zero remainder means membership, otherwise the
+    remainder joins the run and the row itself is kept.
     """
-    run = _ring_run((), rank, ring, base)
+    run = _ring_run((), rank, ring, base,
+                    _grading([*rows, *base], rank, ring))
     kept: List[FreeElement] = []
     for row in rows:
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank, ring))
@@ -549,14 +636,17 @@ def solve_linear(columns: Sequence[FreeElement], b: FreeElement,
 
     The columns and `base` are free elements of R^len(b).  b is reduced
     against the run in which the columns carry tags and `base` and the
-    ideal rows do not.  A remainder with terms below position len(b) is
+    ideal rows do not, completed up to the degree of b when the system is
+    graded.  A remainder with terms below position len(b) is
     the normal form of b, which NoSolution carries as certificate;
     otherwise the remainder is all tags, and the column tags read -x.
     """
     nrows = len(b)
-    run = _ring_run(columns, nrows, ring, base)
-    remainder, m = _reduce(_row_to_vec(_as_row(b, nrows, ring)), run.elements,
-                           run.by_pos, ring.order())
+    run = _ring_run(columns, nrows, ring, base,
+                    _grading([*columns, *base, b], nrows, ring))
+    vec = _row_to_vec(_as_row(b, nrows, ring))
+    run.complete(run.degree(vec))
+    remainder, m = _reduce(vec, run.elements, run.by_pos, run.order)
     _vec_divide(remainder, m)
     residual = _vec_to_row(remainder, nrows, ring.variables)
     if not all(p.is_zero() for p in residual):

@@ -24,7 +24,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, Record
-from .parser import RingSpec, parse_presentation_doc, sym_label
+from .parser import (RingParseError, RingSpec, parse_label,
+                     parse_presentation_doc, sym_label)
 from .groebner import (
     FreeElement,
     SubmoduleBasis,
@@ -79,6 +80,16 @@ class ModuleMap(Record):
 
 
 def free_presentation(ring: RingSpec, labels: Sequence[str]) -> Presentation:
+    """R^n on the labels; each must be label text that `parse_label` reads
+    back unchanged, so the presentation's document parses again."""
+    for label in labels:
+        try:
+            canonical = parse_label(label, ring) == label
+        except RingParseError:
+            canonical = False
+        if not canonical:
+            raise ValueError("generator label %r is not canonical label text"
+                             % (label,))
     return Presentation(ring, tuple(labels), ())
 
 

@@ -401,6 +401,17 @@ def test_jets_of_omega_q2_on_ex316_matches_recorded_stdout(capsys):
         "85fb86542e7ed3e089d6371d26cb1e267ca438b47dbecab8c264d6618b7557bb")
 
 
+def test_symderiv_q2_on_ex316_finishes(capsys):
+    # 360 equations in 405 unknowns: no result in 300 s before solve_linear
+    # completed only up to the degree of its right-hand side
+    code, out, _ = run(capsys, [
+        "symderiv", "-q", "2",
+        "--ring", str(REPO / "src" / "kahlerlab" / "corpus" / "ex316.ring")])
+    assert code == 0
+    assert "verdict = not_found;" in out
+    assert "oracle_agrees = true;" in out
+
+
 # Requests outside perfbench/expected.json whose stdout the symmetric
 # square, the derivation solver and the split sequence decide, then one
 # request for each statement writer path no other digest covers.
@@ -436,6 +447,9 @@ RECORDED_STDOUT = {
     # jet generators D2[e](...) over R itself
     "jets -q 2 --module ring --ring cusp":
         "0ba75ac0d6903eb550ce284b10860dea7b326e5ba4fc5fd18756a2cb08eda51f",
+    # builds J_2(Omega^(2)) over ex316 with graded row pruning
+    "theta -q 2 --target jets --ring ex316":
+        "6d68907d06510944edf673eb3a622272bff203da12fabcb721b466fda947f0c2",
 }
 
 

@@ -3,6 +3,7 @@
 import heapq
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -13,6 +14,8 @@ from kahlerlab.diffmod import (_omega_rows, delta_monomials, jq_presentation,
 from kahlerlab.groebner import (
     NoSolution,
     Solution,
+    _BuchbergerRun,
+    _grading,
     _ideal_unit_rows,
     _reduced_basis,
     _ring_run,
@@ -192,6 +195,128 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     assert absorbed[0] and not absorbed[-1]
     assert (_reduced_basis(run.elements, EX316.order())
             == submodule_over_ring(rows, rank, EX316).groebner)
+
+
+def _homogeneous_entry(rng, ring, degree):
+    """0 (about a third of the time, or when nothing has that degree), or
+    one or two terms of the given weighted degree with small int
+    coefficients."""
+    order = ring.order()
+    monos = [e for e in product(range(max(degree, -1) + 1),
+                                repeat=len(ring.variables))
+             if order.degree(e) == degree]
+    if not monos or rng.random() < 0.3:
+        return ring.zero()
+    picked = rng.sample(monos, min(len(monos), rng.randrange(1, 3)))
+    return Polynomial(ring.variables,
+                      {e: rng.choice((-2, -1, 1, 3)) for e in picked})
+
+
+def _homogeneous_rows(rng, ring, shifts, degrees):
+    """One nonzero row per degree d, its entry at position k of weighted
+    degree d - shifts[k]."""
+    rows = []
+    for d in degrees:
+        row = ()
+        while not any(row):
+            row = tuple(_homogeneous_entry(rng, ring, d - s) for s in shifts)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", [CUSP, EX316], ids=["cusp", "ex316"])
+def test_graded_runs_equal_full_completion(ring, monkeypatch):
+    """On seeded homogeneous systems the graded prune_rows and solve_linear
+    give exactly what a full completion gives, Solution columns included,
+    and reduce fewer pairs."""
+    rng = random.Random(2400 + len(ring.ideal))
+    order = ring.order()
+    w = max(ring.weights)
+    calls = {"graded": 0, "full": 0}
+    reduce = groebner._reduce
+    grading = groebner._grading
+    solved = 0
+    for _ in range(8):
+        shifts = [0, rng.choice(ring.weights), rng.choice(ring.weights)]
+        low = w + max(shifts)
+        columns = _homogeneous_rows(rng, ring, shifts, [
+            rng.randrange(low, low + 2 * w) for _ in range(3)])
+        base = _homogeneous_rows(rng, ring, shifts, [
+            rng.randrange(low, low + 2 * w) for _ in range(2)])
+        top = low + 2 * w
+        b = _homogeneous_rows(rng, ring, shifts, [top])[0]
+        if rng.random() < 0.5:
+            for row in columns + base:
+                degree = next(order.degree(next(iter(e.terms))) + s
+                              for e, s in zip(row, shifts) if e)
+                c = _homogeneous_entry(rng, ring, top - degree)
+                b = tuple(x + c * y for x, y in zip(b, row))
+        assert grading(columns + base + [b], 3, ring) is not None
+        got = {}
+        for mode in ("graded", "full"):
+            monkeypatch.setattr(groebner, "_grading", grading if mode == "graded"
+                                else lambda *args: None)
+            monkeypatch.setattr(groebner, "_reduce", lambda *args, mode=mode: (
+                calls.__setitem__(mode, calls[mode] + 1) or reduce(*args)))
+            got[mode] = (solve_linear(columns, b, ring, base),
+                         prune_rows(columns + base + [b], 3, ring),
+                         prune_rows(columns, 3, ring, base=base))
+        assert got["graded"] == got["full"]
+        solved += isinstance(got["graded"][0], Solution)
+    assert 0 < solved < 8
+    assert calls["graded"] < calls["full"]
+
+
+def test_stepped_completion_keeps_the_held_pairs():
+    """A graded run completed to D1, then D2, then in full has the reduced
+    basis of one full completion: pairs held above D1 and D2, and filtered
+    by the B criterion while held, are neither lost nor doubled."""
+    monomials = delta_monomials(EX316, 2)
+    rank = len(monomials)
+    rows = _omega_rows(EX316, 2, monomials)
+    run = _ring_run((), rank, EX316, base=rows,
+                    shifts=_grading(rows, rank, EX316))
+    degrees = sorted({run.degree(_row_to_vec(r)) for r in rows})
+    for upto in degrees[0], degrees[-1]:
+        run.complete(upto)
+        assert run.held and all(d > upto for d, *_ in run.held)
+    run.complete()
+    assert not run.held and not run.pairs
+    assert (_reduced_basis(run.elements, EX316.order())
+            == submodule_over_ring(rows, rank, EX316).groebner)
+
+
+def test_ungraded_input_takes_the_full_completion(monkeypatch):
+    """_grading gives None for a non-homogeneous ring, a non-homogeneous
+    entry or rows no shifts fit; prune_rows and solve_linear then complete
+    in full, with the answers of the rebuild and of the rational
+    reference."""
+    circle = parse_ringspec(
+        "vars = [x, y]; ideal = [x^2 + y^2 - 1]; assume_domain = true;")
+    x, y, zero = p("x"), p("y"), p("0")
+    assert _grading([(x * x, y), (zero, x)], 3, PLANE) == [0, 1, 0]
+    assert _grading([(x, y)], 2, circle) is None
+    assert _grading([(x + p("1"), y)], 2, PLANE) is None
+    assert _grading([(x, p("1")), (p("1"), x)], 2, PLANE) is None
+    uptos = []
+    complete = _BuchbergerRun.complete
+    monkeypatch.setattr(_BuchbergerRun, "complete", lambda run, upto=None: (
+        uptos.append(upto) or complete(run, upto)))
+    cases = [
+        (PLANE, [(x + p("1"), y), (x * y, y * y), (y, x * x)]),
+        (PLANE, [(x, p("1")), (p("1"), x), (x * x, x)]),
+        (circle, [(p("x", circle), p("y", circle)),
+                  (p("x^2", circle), p("x*y", circle)),
+                  (p("1", circle), p("0", circle))]),
+    ]
+    for ring, rows in cases:
+        del uptos[:]
+        assert prune_rows(rows, 2, ring) == _rebuild_prune(rows, 2, ring)
+        b = tuple(r + s for r, s in zip(rows[0], rows[1]))
+        assert solve_linear(rows, b, ring) == _ref_solve(rows, b, ring)
+        assert uptos and set(uptos) == {None}
+    prune_rows([(x * x, y), (x * y, x)], 2, PLANE)
+    assert any(upto is not None for upto in uptos)
 
 
 @pytest.mark.parametrize("fractions", [False, True], ids=["ints", "mixed"])

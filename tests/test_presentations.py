@@ -59,6 +59,20 @@ def test_free_module_basics():
     assert presentation_is_zero(zero_presentation(PLANE))
 
 
+@pytest.mark.parametrize("labels", [
+    ("a b", "c"), ("d1(x)", "d1(x*x)"), ("s(d1(y),d1(x))",), ("",), ("x y",)])
+def test_free_presentation_refuses_label_text_that_does_not_read_back(labels):
+    """A label that parse_label rejects or rewrites would write a document
+    that does not parse back to the same presentation."""
+    with pytest.raises(ValueError, match="not canonical label text"):
+        free_presentation(PLANE, labels)
+
+
+def test_free_presentation_document_round_trips():
+    m = free_presentation(PLANE, ("a", "d1(x)", "s(d1(x),d1(y))", "D1[e](y)"))
+    assert parse_presentation(presentation_text(m)) == m
+
+
 def test_presentation_is_a_frozen_record():
     rows = ((p("x"), p("y")),)
     m = Presentation(PLANE, ("a", "b"), rows)
