@@ -97,7 +97,7 @@ def _expansion_coords(h: Polynomial, ring: RingSpec,
             if k < 0 or 0 < m <= k:
                 continue
             s = (-1) ** k * comb(m - 1, k) if m else 1
-            mult = prod(comb(a, b) for a, b in zip(e, beta))
+            mult = prod(map(comb, e, beta))
             slots[beta][tuple(map(sub, e, beta))] = _coefficient(c * mult * s)
     return tuple((beta, nf_poly(_trusted(ring.variables, terms), ring))
                  for beta, terms in slots.items())

@@ -44,11 +44,14 @@ convention (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 5 sec. 2):
 add f*e_k for every ideal generator f and unit vector e_k, compute over
 P, and project/reduce afterwards.  `_ring_run` is the only code that fills
 a run: it enters the tagged rows, then a `base` of untagged rows, then
-I*P^rank, and `_as_row` checks every row on the way in, its length and its
-variable list.  `syzygies_over_ring`, `prune_rows` and `solve_linear` work
-modulo span(base) + I*P^rank; a `SubmoduleBasis` is the untagged run with
-its rows as `base`, and every basis, the ring's own `ring_groebner`
-included, is built over a ring.
+I*P^rank as one sparse vec {(k, e): c} per f*e_k, and `_as_row` checks
+every row on the way in, its length and its variable list.
+`syzygies_over_ring`, `prune_rows` and `solve_linear` work modulo
+span(base) + I*P^rank; a `SubmoduleBasis` is the untagged run with its rows
+as `base`, and every basis, the ring's own `ring_groebner` included, is
+built over a ring.  `submodule_over_ring` hands out one `SubmoduleBasis`
+per equal (rows, rank, ring) from a 16-entry LRU memo: a basis never
+changes once its lazy run is built, so equal spans share it.
 
 Graded completion.  When the ring is weighted homogeneous and `_grading`
 finds a degree shift per position under which every input row is
@@ -74,8 +77,11 @@ the one pair loop, completed by `_ring_run` and resumed row by row by
 the one syzygy routine, over a ring with or without an ideal;
 `prune_rows` is the greedy pruner of every presentation, kernels
 included; a `SubmoduleBasis` answers `normal_form` and `contains` from its
-completed run, built on the first query, and `nf_poly` is its rank-1 case
-for one polynomial modulo I.
+completed run, built on the first query, through one lead check and
+reduction (`_remainder`).  `nf_poly` is its rank-1 case for one polynomial
+modulo I: it checks the variable list on every ring, returns a zero or
+already reduced polynomial as it is, and otherwise reduces the vec
+{(0, e): c} against `ring_groebner(ring)` through the same `_remainder`.
 """
 
 from __future__ import annotations
@@ -382,10 +388,14 @@ def _as_row(value: Sequence[Polynomial], rank: int,
         raise ValueError("expected a free element of rank %d, got %d"
                          % (rank, len(row)))
     for p in row:
-        if p.variables != ring.variables:
-            raise ValueError("row entry over %s, expected %s"
-                             % (p.variables, ring.variables))
+        _check_variables(p, ring)
     return row
+
+
+def _check_variables(p: Polynomial, ring: RingSpec) -> None:
+    if p.variables != ring.variables:
+        raise ValueError("row entry over %s, expected %s"
+                         % (p.variables, ring.variables))
 
 
 def _row_to_vec(row: FreeElement) -> Vec:
@@ -445,27 +455,43 @@ class SubmoduleBasis:
         return [_vec_to_row(v, self.rank, self.ring.variables)
                 for v in self.groebner]
 
-    def normal_form(self, row: Sequence[Polynomial]) -> FreeElement:
-        """The remainder; a row with no term divisible by a lead of the
-        basis is its own remainder, and its entries come back as they are."""
-        row = _as_row(row, self.rank, self.ring)
-        vec = _row_to_vec(row)
+    def _remainder(self, vec: Vec) -> Optional[Vec]:
+        """The remainder of vec, or None when no term of vec is divisible
+        by a lead of the basis, so that vec is its own remainder."""
         leads = self._leads
-        if any(_divides(lead, exps)
-               for pos, exps in vec for lead in leads.get(pos, ())):
-            run = self._run
-            rem, m = _reduce(vec, run.elements, run.by_pos, run.order)
-            _vec_divide(rem, m)
-            row = _vec_to_row(rem, self.rank, self.ring.variables)
-        return row
+        if not any(_divides(lead, exps)
+                   for pos, exps in vec for lead in leads.get(pos, ())):
+            return None
+        run = self._run
+        rem, m = _reduce(vec, run.elements, run.by_pos, run.order)
+        _vec_divide(rem, m)
+        return rem
+
+    def normal_form(self, row: Sequence[Polynomial]) -> FreeElement:
+        """The remainder; a row that is its own remainder comes back with
+        its entries as they are."""
+        row = _as_row(row, self.rank, self.ring)
+        rem = self._remainder(_row_to_vec(row))
+        if rem is None:
+            return row
+        return _vec_to_row(rem, self.rank, self.ring.variables)
 
     def contains(self, row: Sequence[Polynomial]) -> bool:
         return all(p.is_zero() for p in self.normal_form(row))
 
 
-def submodule_over_ring(rows: Sequence[FreeElement], rank: int,
+def submodule_over_ring(rows: Sequence[Sequence[Polynomial]], rank: int,
                         ring: RingSpec) -> SubmoduleBasis:
-    """Basis of span(rows) + I*P^rank; `contains` decides membership over R."""
+    """Basis of span(rows) + I*P^rank; `contains` decides membership over R.
+    Equal rows (as lists or tuples), rank and ring give the same basis
+    while it is among the 16 spans asked for last."""
+    return _span_basis(tuple(map(tuple, rows)), rank, ring)
+
+
+# A basis never changes after its lazy run, so equal spans can share one.
+@lru_cache(maxsize=16)
+def _span_basis(rows: Tuple[FreeElement, ...], rank: int,
+                ring: RingSpec) -> SubmoduleBasis:
     return SubmoduleBasis(rows, rank, ring)
 
 
@@ -480,10 +506,14 @@ def ring_groebner(ring: RingSpec) -> SubmoduleBasis:
 
 
 def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
-    """Normal form of a coefficient modulo the defining ideal."""
-    if not ring.ideal:
+    """Normal form of a coefficient modulo the defining ideal; p itself
+    when it is zero, the ring has no ideal or p is already reduced."""
+    _check_variables(p, ring)
+    if not p.terms or not ring.ideal:
         return p
-    return ring_groebner(ring).normal_form((p,))[0]
+    rem = ring_groebner(ring)._remainder(
+        {(0, e): c for e, c in p.terms.items()})
+    return p if rem is None else _vec_to_row(rem, 1, ring.variables)[0]
 
 
 def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
@@ -541,12 +571,15 @@ def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     run = _BuchbergerRun(ring.order(), rank, bool(rows), shifts)
     one = (0,) * len(ring.variables)
     items = [_as_row(r, rank, ring) for r in (*rows, *base)]
-    for i, row in enumerate(items + _ideal_unit_rows(rank, ring)):
+    for i, row in enumerate(items):
         vec = _row_to_vec(row)
         if i < len(rows):
             vec[(rank + i, one)] = 1
         if vec:
             run.add(vec)
+    for f in ring.ideal:
+        for k in range(rank):
+            run.add({(k, e): c for e, c in f.terms.items()})
     if shifts is None:
         run.complete()
     return run

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import index
+from operator import add, index
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (Coeff, ExpVec, ExponentOverflowError, MonomialOrder,
-                   Polynomial, Record, format_polynomial, monomial_text)
+from .poly import (EXPONENT_LIMIT, Coeff, ExpVec, ExponentOverflowError,
+                   MonomialOrder, Polynomial, Record, _coefficient, _trusted,
+                   format_polynomial, monomial_text)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DELTA_RE = re.compile(r"^d([0-9]+)$")
@@ -244,62 +245,106 @@ def _parse_number(ts: _Stream) -> Coeff:
     return value
 
 
-def _parse_atom(ts: _Stream, ring: RingSpec) -> Polynomial:
-    tok = ts.peek()
-    if tok[0] == "number":
-        return Polynomial.const(ring.variables, _parse_number(ts))
-    if tok[0] == "ident":
-        if tok[1] not in ring.variables:
-            ts.error("unknown variable %r" % tok[1])
-        ts.next()
-        return Polynomial.variable(ring.variables, tok[1])
-    if tok[0] == "(":
-        ts.next()
-        value = _parse_expr(ts, ring)
-        ts.expect(")", "a closing parenthesis")
-        return value
-    ts.error("expected a term, found %r" % (tok[1] or "end of input"))
+def _parse_power(ts: _Stream):
+    """The exponent after a `^` and its token; 1 and None without one."""
+    if not ts.at("^"):
+        return 1, None
+    ts.next()
+    tok = ts.expect("number", "an integer exponent")
+    return int(tok[1]), tok
 
 
-def _parse_factor(ts: _Stream, ring: RingSpec) -> Polynomial:
-    base = _parse_atom(ts, ring)
-    if ts.at("^"):
-        ts.next()
-        tok = ts.expect("number", "an integer exponent")
-        try:
-            return base ** int(tok[1])
-        except ExponentOverflowError as e:
-            raise RingParseError(str(e), tok[2], tok[3]) from None
-    return base
+def _overflow(top: int, tok) -> RingParseError:
+    return RingParseError("exponent %d exceeds limit" % top, tok[2], tok[3])
 
 
-def _parse_term(ts: _Stream, ring: RingSpec) -> Polynomial:
-    sign = 1
+def _parse_term(ts: _Stream, ring: RingSpec, sign: int,
+                out: Dict[ExpVec, Coeff]) -> None:
+    """Add sign times the next term to `out`.
+
+    The term is read as one coefficient, one exponent vector and the
+    product of its parenthesised factors, multiplied in the order they come.
+    `high` holds the running product's largest exponent of each variable,
+    which only adds up, as leading terms never cancel.  So an exponent past
+    EXPONENT_LIMIT is reported where it first arises: a power at its
+    exponent, a product at its `*`, and nowhere once the term is zero."""
     while ts.at("-"):
         ts.next()
         sign = -sign
-    value = _parse_factor(ts, ring)
-    while ts.at("*"):
-        tok = ts.next()
-        try:
-            value = value * _parse_factor(ts, ring)
-        except ExponentOverflowError as e:
-            raise RingParseError(str(e), tok[2], tok[3]) from None
-    return value if sign > 0 else -value
+    variables = ring.variables
+    coeff, exps, group = sign, [0] * len(variables), None
+    high = [0] * len(variables)
+    star = None
+    while True:
+        tok, factor = ts.peek(), None
+        if tok[0] == "number":
+            coeff *= _parse_number(ts) ** _parse_power(ts)[0]
+        elif tok[0] == "ident":
+            if tok[1] not in variables:
+                ts.error("unknown variable %r" % tok[1])
+            ts.next()
+            n, at = _parse_power(ts)
+            if n > EXPONENT_LIMIT:
+                raise _overflow(n, at)
+            i = variables.index(tok[1])
+            exps[i] += n
+            high[i] += n
+        elif tok[0] == "(":
+            ts.next()
+            factor = _trusted(variables, _parse_expr(ts, ring))
+            ts.expect(")", "a closing parenthesis")
+            n, at = _parse_power(ts)
+            if at is not None:
+                try:
+                    factor = factor ** n
+                except ExponentOverflowError as e:
+                    raise RingParseError(str(e), at[2], at[3]) from None
+            if not factor.terms:
+                coeff = 0
+            for i, top in enumerate(map(max, zip(*factor.terms))):
+                high[i] += top
+        else:
+            ts.error("expected a term, found %r" % (tok[1] or "end of input"))
+        if coeff and star is not None and max(high) > EXPONENT_LIMIT:
+            raise _overflow(max(high), star)
+        if coeff and factor is not None:
+            group = factor if group is None else group * factor
+        if not ts.at("*"):
+            break
+        star = ts.next()
+    if not coeff:
+        return
+    if group is None:
+        terms = ((tuple(exps), coeff),)
+    else:
+        terms = ((tuple(map(add, exps, e)), coeff * c)
+                 for e, c in group.terms.items())
+    for e, c in terms:
+        acc = out.get(e, 0) + c
+        if acc:
+            out[e] = _coefficient(acc)
+        else:
+            del out[e]
 
 
-def _parse_expr(ts: _Stream, ring: RingSpec) -> Polynomial:
-    value = _parse_term(ts, ring)
-    while ts.at("+") or ts.at("-"):
-        op = ts.next()[0]
-        rhs = _parse_term(ts, ring)
-        value = value + rhs if op == "+" else value - rhs
-    return value
+def _parse_expr(ts: _Stream, ring: RingSpec) -> Dict[ExpVec, Coeff]:
+    """Terms joined by + and -, summed into one dict of nonzero terms."""
+    out: Dict[ExpVec, Coeff] = {}
+    sign = 1
+    while True:
+        _parse_term(ts, ring, sign, out)
+        if not (ts.at("+") or ts.at("-")):
+            return out
+        sign = 1 if ts.next()[0] == "+" else -1
+
+
+def _parse_poly(ts: _Stream, ring: RingSpec) -> Polynomial:
+    return _trusted(ring.variables, _parse_expr(ts, ring))
 
 
 def parse_poly(text: str, ring: RingSpec) -> Polynomial:
     """Parse one polynomial expression over the ring's variables."""
-    return _finish(_Stream(_tokenize(text)), lambda ts: _parse_expr(ts, ring))
+    return _finish(_Stream(_tokenize(text)), lambda ts: _parse_poly(ts, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +353,7 @@ def parse_poly(text: str, ring: RingSpec) -> Polynomial:
 
 def _parse_monomial(ts: _Stream, ring: RingSpec) -> ExpVec:
     first = ts.peek()
-    terms = list(_parse_expr(ts, ring).terms.items())
+    terms = list(_parse_expr(ts, ring).items())
     if len(terms) != 1 or terms[0][1] != 1:
         raise RingParseError("expected a monomial with coefficient 1",
                              first[2], first[3])
@@ -414,7 +459,7 @@ def _ringspec_from_chunks(chunks: Dict[str, _Stream], end) -> RingSpec:
     _validated(chunks, "vars", names)
     ring0 = _validated(chunks, "weights", names, weights)
     ideal = _read(chunks, "ideal", lambda ts: _parse_list(
-        ts, lambda s: _parse_expr(s, ring0)), [])
+        ts, lambda s: _parse_poly(s, ring0)), [])
     assume_domain = _read(chunks, "assume_domain", _parse_bool, False)
     return _validated(chunks, "ideal", names, weights, ideal, assume_domain)
 
@@ -437,7 +482,7 @@ def parse_presentation_doc(text: str):
     labels = _read(chunks, "generators", lambda ts: _parse_list(
         ts, lambda s: _parse_label(s, ring)), None)
     rows = _read(chunks, "relations", lambda ts: _parse_list(
-        ts, lambda s: _parse_list(s, lambda t: _parse_expr(t, ring))), [])
+        ts, lambda s: _parse_list(s, lambda t: _parse_poly(t, ring))), [])
     for row in rows:
         if len(row) != len(labels):
             raise RingParseError("relation row of length %d, expected %d"

@@ -897,3 +897,70 @@ def test_rows_over_another_variable_list_are_rejected():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_nf_poly_checks_the_variables_on_every_ring():
+    # a polynomial over another variable list is no element of R, whether
+    # or not R has an ideal, and even when it is zero
+    a = Polynomial.variable(("a", "b"), "a")
+    for ring in (PLANE, CUSP):
+        for poly in (a, Polynomial.zero(("a", "b"))):
+            with pytest.raises(ValueError):
+                nf_poly(poly, ring)
+
+
+def _principal_rings(rng, count):
+    rings = []
+    while len(rings) < count:
+        f = _random_entry(rng, PLANE)
+        if not f.is_zero() and not f.is_constant():
+            rings.append(make_ringspec(PLANE.variables, ideal=(f,)))
+    return rings
+
+
+def test_nf_poly_matches_the_reduced_basis_of_the_reference():
+    """nf_poly against a full rational reduction by the reference engine's
+    reduced monic basis of I, zero included."""
+    rng = random.Random(8500)
+    for ring in [CUSP, EX316] + _principal_rings(rng, 6):
+        order = ring.order()
+        ref = _RefRun([_row_to_vec((f,)) for f in ring.ideal], order, 1,
+                      ntracked=0)
+        basis = [(v, None, _ref_lead(v, order)) for v in ref.reduced_basis()]
+        polys = [ring.zero()] + [_random_entry(rng, ring) for _ in range(25)]
+        reduced = 0
+        for poly in polys:
+            rem = _ref_reduce(_row_to_vec((poly,)), None, basis, order)
+            got = nf_poly(poly, ring)
+            assert got == _vec_to_row(rem, 1, ring.variables)[0]
+            assert all(type(c) is int or c.denominator > 1
+                       for c in got.terms.values())
+            reduced += got != poly
+        assert 0 < reduced < len(polys)
+
+
+def test_equal_spans_share_one_basis(monkeypatch):
+    x, y, zero = p("x"), p("y"), p("0")
+    rows = [(x, y), (y, zero)]
+    basis = submodule_over_ring(rows, 2, PLANE)
+    assert submodule_over_ring([list(r) for r in rows], 2, PLANE) is basis
+    assert submodule_over_ring(tuple(rows), 2, PLANE) is basis
+    assert submodule_over_ring(rows, 2, CUSP) is not basis
+    assert submodule_over_ring(rows[:1], 2, PLANE) is not basis
+    assert submodule_over_ring([(x,), (y,)], 1, PLANE) is not basis
+    maxsize = groebner._span_basis.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 16
+
+    # a relation-set case builds its span once: run it once to warm the
+    # ring's own basis and the expansion caches, then twice with the memo
+    # cleared
+    from kahlerlab.properties import run_relation_set_equivalence
+    run_relation_set_equivalence(random.Random(3), 1)
+    groebner._span_basis.cache_clear()
+    runs = []
+    real = groebner._ring_run
+    monkeypatch.setattr(groebner, "_ring_run",
+                        lambda *args, **kw: runs.append(args) or real(*args, **kw))
+    for _ in range(2):
+        assert run_relation_set_equivalence(random.Random(3), 1) == 1
+    assert len(runs) == 1

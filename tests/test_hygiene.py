@@ -1,7 +1,8 @@
 """Source hygiene: every name a kahlerlab module imports is used in it,
 every module-level private function or class is used in the package,
-every public one is used in the package or the tests, and every true
-division is exact.
+every public one is used in the package or the tests, every true
+division is exact, every defaulted parameter is passed somewhere, and
+every cache is bounded.
 
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -232,3 +233,53 @@ def test_every_defaulted_parameter_is_passed():
     defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     calling = defining + [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert _never_passed(defining, calling) == []
+
+
+# Caches stay bounded in a long-lived process.  These eight unbounded ones
+# predate the rule; ROADMAP item 6(c) lists them for bounding.
+UNBOUNDED_CACHES = {
+    ("diffmod.py", "_expansion_coords"),
+    ("diffmod.py", "omega_presentation"),
+    ("diffmod.py", "jq_presentation"),
+    ("diffmod.py", "iota_sym_to_omega2"),
+    ("diffmod.py", "symmetric_derivation_solve"),
+    ("groebner.py", "ring_groebner"),
+    ("presentations.py", "relation_basis"),
+    ("resolution.py", "minimal_resolution"),
+}
+
+
+def _unbounded_caches(module, source):
+    """(module, function) of each function decorated with `cache` or with
+    an `lru_cache` whose maxsize is None; a bare `lru_cache` holds 128."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            if not isinstance(dec, ast.Call):
+                dec = ast.Call(func=dec, args=[], keywords=[])
+            sizes = dec.args[:1] + [k.value for k in dec.keywords
+                                    if k.arg == "maxsize"]
+            if _callee(dec) == "cache" or _callee(dec) == "lru_cache" and any(
+                    isinstance(s, ast.Constant) and s.value is None
+                    for s in sizes):
+                found.append((module, node.name))
+    return found
+
+
+def test_the_check_sees_an_unbounded_cache():
+    source = ("@lru_cache(maxsize=None)\ndef a():\n    pass\n\n"
+              "@functools.lru_cache(None)\ndef b():\n    pass\n\n"
+              "@cache\ndef c():\n    pass\n\n"
+              "@lru_cache(maxsize=16)\ndef d():\n    pass\n\n"
+              "@lru_cache\ndef e():\n    pass\n\n"
+              "@lru_cache()\ndef f():\n    pass\n")
+    assert _unbounded_caches("m.py", source) == [
+        ("m.py", "a"), ("m.py", "b"), ("m.py", "c")]
+
+
+def test_caches_are_bounded():
+    found = {entry for path in MODULES
+             for entry in _unbounded_caches(path.name, path.read_text())}
+    assert found <= UNBOUNDED_CACHES

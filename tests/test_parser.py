@@ -1,5 +1,6 @@
 """Tests for .ring documents, polynomial/label parsing and rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,8 +142,6 @@ def test_nesting_limit_is_an_input_error():
 
 
 def test_poly_format_round_trip():
-    import random
-
     ring = make_ringspec(("x", "y"))
     rng = random.Random(11)
     for _ in range(80):
@@ -227,3 +226,99 @@ relations = [[x]];
 def test_comments_and_whitespace_ignored():
     ring = parse_ringspec("vars = [x];  # trailing comment\nideal = [\n  # inner\n];")
     assert ring.variables == ("x",)
+
+
+def _random_tree(rng, depth):
+    """An expression tree: a list of (sign, term), a term a run of unary
+    minus signs and a list of (atom, exponent or None) factors, an atom a
+    number (numerator, denominator or None), a variable or a group."""
+    def atom():
+        roll = rng.random()
+        if depth and roll < 0.25:
+            return ("group", _random_tree(rng, depth - 1))
+        if roll < 0.55:
+            return ("number", rng.choice((0, 1, 2, 3, 5)),
+                    rng.choice((None, None, 1, 2, 3)))
+        return ("var", rng.choice(("x", "y")))
+
+    def term():
+        factors = [(atom(), rng.choice((None, None, 0, 1, 2, 3)))
+                   for _ in range(rng.randrange(1, 4))]
+        return rng.choice((0, 0, 1, 2, 3)), factors
+
+    return [(rng.choice("+-"), term()) for _ in range(rng.randrange(1, 4))]
+
+
+def _tree_text(tree):
+    def atom_text(a):
+        if a[0] == "group":
+            return "(%s)" % _tree_text(a[1])
+        if a[0] == "number":
+            return str(a[1]) if a[2] is None else "%d/%d" % a[1:]
+        return a[1]
+
+    parts = []
+    for i, (sign, (minus, factors)) in enumerate(tree):
+        body = "-" * minus + "*".join(
+            atom_text(a) + ("" if n is None else "^%d" % n) for a, n in factors)
+        parts.append(body if i == 0 else " %s %s" % (sign, body))
+    return "".join(parts)
+
+
+def _tree_value(tree, ring):
+    """The tree built by Polynomial arithmetic, factor by factor."""
+    def atom_value(a):
+        if a[0] == "group":
+            return _tree_value(a[1], ring)
+        if a[0] == "number":
+            return Polynomial.const(ring.variables, Fraction(a[1], a[2] or 1))
+        return Polynomial.variable(ring.variables, a[1])
+
+    total = ring.zero()
+    for i, (sign, (minus, factors)) in enumerate(tree):
+        value = ring.one()
+        for a, n in factors:
+            value = value * (atom_value(a) ** (1 if n is None else n))
+        if minus % 2:
+            value = -value
+        total = total - value if i and sign == "-" else total + value
+    return total
+
+
+def test_random_expression_trees_parse_to_their_arithmetic():
+    # nested parentheses, runs of unary minus, ^ on numbers, variables and
+    # groups (so 1/2^2 is a quarter), n/d coefficients
+    ring = make_ringspec(("x", "y"))
+    rng = random.Random(2500)
+    zero = 0
+    for _ in range(300):
+        tree = _random_tree(rng, rng.randrange(4))
+        got = parse_poly(_tree_text(tree), ring)
+        assert got == _tree_value(tree, ring), _tree_text(tree)
+        assert all(type(c) is int or c.denominator > 1
+                   for c in got.terms.values())
+        zero += got.is_zero()
+    assert 0 < zero < 300
+
+
+@pytest.mark.parametrize("text, col, exponent", [
+    ("(x^999999999)^2", 15, 1999999998),           # a group's power
+    ("x^999999999*(x^999999999)", 12, 1999999998),  # the parent's *
+    ("(x^999999999*x)*x^999999999", 16, 1999999999),
+    ("x*(x^999999999*x^999999999)", 15, 1999999998),  # inside the group
+])
+def test_parenthesised_factor_overflow_is_reported_where_it_arises(
+        text, col, exponent):
+    ring = make_ringspec(("x",))
+    with pytest.raises(RingParseError,
+                       match="exponent %d exceeds limit" % exponent) as err:
+        parse_poly(text, ring)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_a_zero_product_never_overflows():
+    ring = make_ringspec(("x",))
+    for text in ("0*x^999999999*x^999999999", "x^999999999*(x - x)*x^999999999",
+                 "(x - x)^2*(x^999999999 + 1)*(x^999999999 + 1)"):
+        assert parse_poly(text, ring).is_zero()
+    assert parse_poly("(x - x)^0 + 0^0", ring) == parse_poly("2", ring)
