@@ -394,7 +394,7 @@ def _as_row(value: Sequence[Polynomial], rank: int,
 
 def _check_variables(p: Polynomial, ring: RingSpec) -> None:
     if p.variables != ring.variables:
-        raise ValueError("row entry over %s, expected %s"
+        raise ValueError("polynomial over %s, expected %s"
                          % (p.variables, ring.variables))
 
 
