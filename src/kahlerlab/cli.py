@@ -10,22 +10,26 @@ canonical checks, and emit deterministic reports::
     regular                    Jacobian regularity of the ring itself
     verify-paper               the full verification table over a corpus
 
+The table COMMANDS drives both argv parsing, which reads argv as argparse
+did (`--opt V`, `--opt=V`, unique prefixes, `-qN`, `-q=N`; the last repeat
+wins), and -h/--help, which prints to stdout and exits 0.
+
 Exit codes: 0 success, 1 mathematical check failure (verify-paper
-mismatch, solver/oracle disagreement), 2 input error, such as a ring file
-or --basis nested more than parser.NESTING_LIMIT brackets deep.  Timing
-goes to stderr so stdout stays byte-identical across repeated runs.
+mismatch, solver/oracle disagreement), 2 a usage error (usage and error
+on stderr) or an input error, such as a ring file or --basis nested more
+than parser.NESTING_LIMIT brackets deep.  Timing goes to stderr so stdout
+stays byte-identical across repeated runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
+import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import format_polynomial
 from .parser import (
@@ -81,89 +85,183 @@ from .resolution import (
 from . import properties
 
 
+# ---------------------------------------------------------------------------
+# the command table: it parses argv and prints -h/--help alike
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        raise ValueError("expected an integer, got %r" % text) from None
     if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %d"
-                                         % value)
+        raise ValueError("expected a positive integer, got %d" % value)
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="kahlerlab",
-        description="exact workbench for differential modules over "
-                    "Q[x_1..x_s]/I")
-    sub = top.add_subparsers(dest="command", required=True)
+# An option is (flag, type or tuple of choices, default, metavar, help); a
+# default of ... marks the option required.
+_RING = ("--ring", str, ..., "FILE",
+         "ring file (vars/weights/ideal statements)")
+_Q = ("-q", _positive_int, 1, "Q", "differential order (default 1)")
+_FORMAT = ("--format", ("text", "structured"), "text", None,
+           "a report, or a JSON envelope echoing the request (default text)")
+_CUTOFF = ("--cutoff", _positive_int, 6, "CUTOFF",
+           "resolution cutoff (default 6)")
+# the selector mini-syntax composes constructions: jets:omega is J_q
+# applied to Omega^(q), sym2:omega the symmetric square, jets:ring J_q(R)
+_MODULE = ("--module", ("omega", "jets:omega", "sym2:omega", "jets:ring"),
+           "omega", "MODULE",
+           "omega (default), jets:omega, sym2:omega or jets:ring")
 
-    def add(name, help_text, q=False, module=None, cutoff=False,
-            basis=False, target=False, bound=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--ring", required=True, metavar="FILE",
-                       help="ring file (vars/weights/ideal statements)")
-        if q:
-            p.add_argument("-q", type=_positive_int, default=1,
-                           help="differential order (default 1)")
-        if module is not None:
-            p.add_argument("--module", default=module[0], choices=module,
-                           help="which module to build (default %s)" % module[0])
-        if cutoff:
-            p.add_argument("--cutoff", type=_positive_int, default=6,
-                           help="resolution cutoff (default 6)")
-        if basis:
-            p.add_argument("--basis", default=None, metavar="MONOMIALS",
-                           help="comma-separated symbol order, e.g. "
-                                "\"x^2,y^2,x*y,x,y\"")
-        if target:
-            p.add_argument("--target", default="first",
-                           choices=("first", "jets"),
-                           help="contract to Omega^1 or embed into jets")
-        if bound:
-            p.add_argument("--degree-bound", type=_positive_int, default=6,
-                           help="oracle ansatz degree for rings that are "
-                                "not homogeneous")
-        p.add_argument("--format", default="text",
-                       choices=("text", "structured"))
-        return p
-
-    add("omega", "presentation of Omega^(q)", q=True, basis=True)
-    add("jets", "presentation of J_q of the ring or of Omega^(q)",
-        q=True, module=("ring", "omega"))
-    add("sym2", "presentation of S^2(Omega^(q))", q=True)
-    add("theta", "the map Omega^(2q) -> Omega^(q) targets, or into jets",
-        q=True, target=True)
-    add("iota", "the inclusion S^2(Omega^1) -> Omega^2")
-    add("split", "exactness and splitting of the symmetric-square sequence")
-    add("symderiv", "symmetric-derivation solver cross-checked by an oracle",
-        q=True, bound=True)
-    # the selector mini-syntax composes constructions: jets:omega is J_q
-    # applied to Omega^(q), sym2:omega the symmetric square, jets:ring J_q(R)
-    selectors = ("omega", "jets:omega", "sym2:omega", "jets:ring")
-    add("resolve", "free resolution of a module", q=True, module=selectors,
-        cutoff=True)
-    add("pd", "projective-dimension verdict", q=True, module=selectors,
-        cutoff=True)
-    add("rank", "generic rank of a module (domain rings)", q=True,
-        module=selectors)
-    add("regular", "Jacobian regularity of the ring")
-
-    vp = sub.add_parser("verify-paper",
-                        help="run the full verification table over a corpus")
-    vp.add_argument("--corpus", default=None, metavar="DIR",
-                    help="directory of .ring files (default: shipped corpus)")
-    vp.add_argument("--cases", type=_positive_int, default=200,
-                    help="randomized cases per property suite (default 200)")
-    vp.add_argument("--format", default="text",
-                    choices=("text", "structured"))
-    return top
+COMMANDS = {
+    "omega": ("presentation of Omega^(q)", (_RING, _Q, (
+        "--basis", str, None, "MONOMIALS",
+        "comma-separated symbol order, e.g. \"x^2,y^2,x*y,x,y\""), _FORMAT)),
+    "jets": ("presentation of J_q of the ring or of Omega^(q)", (
+        _RING, _Q, ("--module", ("ring", "omega"), "ring", None,
+                    "which module to build (default ring)"), _FORMAT)),
+    "sym2": ("presentation of S^2(Omega^(q))", (_RING, _Q, _FORMAT)),
+    "theta": ("the map Omega^(2q) -> Omega^(q) targets, or into jets", (
+        _RING, _Q, ("--target", ("first", "jets"), "first", None,
+                    "contract to Omega^1 or embed into jets"), _FORMAT)),
+    "iota": ("the inclusion S^2(Omega^1) -> Omega^2", (_RING, _FORMAT)),
+    "split": ("exactness and splitting of the symmetric-square sequence",
+              (_RING, _FORMAT)),
+    "symderiv": ("symmetric-derivation solver cross-checked by an oracle", (
+        _RING, _Q, ("--degree-bound", _positive_int, 6, "DEGREE_BOUND",
+                    "oracle ansatz degree for rings that are not "
+                    "homogeneous"), _FORMAT)),
+    "resolve": ("free resolution of a module",
+                (_RING, _Q, _MODULE, _CUTOFF, _FORMAT)),
+    "pd": ("projective-dimension verdict",
+           (_RING, _Q, _MODULE, _CUTOFF, _FORMAT)),
+    "rank": ("generic rank of a module (domain rings)",
+             (_RING, _Q, _MODULE, _FORMAT)),
+    "regular": ("Jacobian regularity of the ring", (_RING, _FORMAT)),
+    "verify-paper": ("run the full verification table over a corpus", (
+        ("--corpus", str, None, "DIR",
+         "directory of .ring files (default: shipped corpus)"),
+        ("--cases", _positive_int, 200, "CASES",
+         "randomized cases per property suite (default 200)"), _FORMAT)),
+}
+_HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _load_ring(path: str) -> RingSpec:
-    with open(path) as fh:
-        return parse_ringspec(fh.read())
+def _usage(command: Optional[str], full: bool = False) -> str:
+    """The usage line of the program or of one command; with full, the
+    whole -h/--help text."""
+    options = COMMANDS[command][1] if command else ()
+    spelt = ["%s %s" % (o[0], o[3] or "{%s}" % ",".join(o[1]))
+             for o in options]
+    text = "usage: kahlerlab %s\n" % (" ".join([command, "[-h]"] + [
+        s if o[2] is ... else "[%s]" % s for s, o in zip(spelt, options)])
+        if command else "[-h] COMMAND ...")
+    if not full:
+        return text
+    if command is None:
+        about = ("exact workbench for differential modules over "
+                 "Q[x_1..x_s]/I; COMMAND -h lists its options")
+        rows = [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        about, rows = COMMANDS[command][0], zip(spelt, (o[4] for o in options))
+    return "%s\n%s\n\n%s" % (text, about, "".join(
+        "  %-29s%s\n" % row for row in rows))
+
+
+def _classify(tokens: Sequence[str], flags) -> list:
+    """How argparse reads each token: None for a positional, else the flag
+    it names (None for an unknown option) and the value attached to it."""
+    kinds, rest = [], False
+    for token in tokens:
+        kind = None if rest or token[:1] != "-" or token == "-" \
+            else (None, None)
+        if kind and token[:2] == "--" and token != "--":  # or a prefix
+            name, eq, value = token.partition("=")
+            hits = [f for f in flags if f == name] or \
+                [f for f in flags if f.startswith(name)]
+            if len(hits) > 1:
+                raise ValueError("ambiguous option: %s could match %s"
+                                 % (token, ", ".join(hits)))
+            kind = (hits[0], value if eq else None) if hits else kind
+        elif kind and token[:2] in flags:  # -q, -qN and -q=N
+            value = token[2:]
+            kind = token[:2], value[value[:1] == "=":] if value else None
+        if kind == (None, None) and token != "--" and (
+                _NUMBER.match(token) or " " in token):
+            kind = None
+        kinds.append(kind)
+        rest = rest or token == "--"  # every later token is positional
+    return kinds
+
+
+def _parse_args(argv: Sequence[str]) -> Union[SimpleNamespace, int]:
+    """The request argv names, read with argparse's syntax, or the exit
+    code once -h/--help (0) or a usage error (2) has been printed."""
+    command, options, values, strays = None, {}, {}, []
+    try:
+        kinds, i = _classify(argv, _HELP), 0
+        while i < len(argv):
+            kind, token, i = kinds[i], argv[i], i + 1
+            if command is None and (kind is None or token == "--"):
+                if token not in COMMANDS:
+                    raise ValueError("argument command: invalid choice: %r "
+                                     "(choose from %s)"
+                                     % (token, ", ".join(COMMANDS)))
+                command, options = token, {o[0]: o for o in COMMANDS[token][1]}
+                values = {flag: o[2] for flag, o in options.items()}
+                kinds[i:] = _classify(argv[i:], _HELP + tuple(options))
+            elif kind is None or kind[0] is None:
+                strays.append(token)
+            elif kind[0] in _HELP:
+                # argparse reads the letters after -h as more short flags
+                chain = kind[1].lstrip("h") if kind[0] == "-h" and kind[1] \
+                    else "?"
+                if kind[1] is not None and chain and not (
+                        "-" + chain[0] in options and (
+                            chain[1:] or i < len(argv) and kinds[i] is None)):
+                    raise ValueError("argument -h/--help: ignored explicit "
+                                     "argument %r" % kind[1])
+                sys.stdout.write(_usage(command, full=True))
+                return 0
+            else:
+                flag, value = kind
+                if value is None:
+                    if i == len(argv) or kinds[i] is not None:
+                        raise ValueError("argument %s: expected one argument"
+                                         % flag)
+                    value, i = argv[i], i + 1
+                convert = options[flag][1]
+                try:
+                    if isinstance(convert, tuple) and value not in convert:
+                        raise ValueError("invalid choice: %r (choose from %s)"
+                                         % (value, ", ".join(convert)))
+                    values[flag] = value if isinstance(convert, tuple) \
+                        else convert(value)
+                except ValueError as e:
+                    raise ValueError("argument %s: %s" % (flag, e)) from None
+        missing = [f for f, v in values.items() if v is ...] if command \
+            else ["command"]
+        if missing or strays:
+            raise ValueError(
+                "the following arguments are required: " + ", ".join(missing)
+                if missing else "unrecognized arguments: " + " ".join(strays))
+    except ValueError as e:
+        sys.stderr.write("%skahlerlab%s: error: %s\n" % (
+            _usage(command), " " + command if command else "", e))
+        return 2
+    return SimpleNamespace(command=command, **{
+        flag.lstrip("-").replace("-", "_"): v for flag, v in values.items()})
+
+
+def _load_ring(path) -> RingSpec:
+    """The ring in a file; a parse or decode error names the file."""
+    try:
+        with open(path) as fh:
+            return parse_ringspec(fh.read())
+    except (RingParseError, UnicodeDecodeError) as e:
+        raise RingParseError("%s: %s" % (path, e)) from None
 
 
 def _select_module(ring: RingSpec, q: int, selector: str) -> Presentation:
@@ -428,6 +526,8 @@ _VERIFY_ITEMS = (
 
 
 def _load_corpus(corpus_dir: Optional[str]) -> Dict[str, RingSpec]:
+    from importlib import resources  # only verify-paper reads a corpus
+    from pathlib import Path
     root = resources.files("kahlerlab").joinpath("corpus") \
         if corpus_dir is None else Path(corpus_dir)
     if not root.is_dir():
@@ -436,7 +536,7 @@ def _load_corpus(corpus_dir: Optional[str]) -> Dict[str, RingSpec]:
     for name in _CORPUS_NAMES:
         path = root.joinpath(name + ".ring")
         if path.is_file():
-            rings[name] = parse_ringspec(path.read_text())
+            rings[name] = _load_ring(path)
     return rings
 
 
@@ -555,10 +655,9 @@ def _dispatch(args) -> Tuple[str, object, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return 0 if not e.code else 2
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
     start = time.perf_counter()
     try:
         text, result, code = _dispatch(args)

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface (run in-process)."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import _build_parser, _load_corpus, main
+from kahlerlab.cli import COMMANDS, _load_corpus, _parse_args, main
 from kahlerlab.parser import parse_presentation_doc
+
+REPO = Path(__file__).resolve().parents[1]
 
 CUSP_TEXT = """\
 vars = [x, y];
@@ -52,15 +58,29 @@ def run(capsys, argv):
 def test_startup_imports_no_verify_only_modules():
     # every request starts a cold interpreter, so what `import
     # kahlerlab.cli` loads is paid per request: dataclasses (with inspect)
-    # costs milliseconds, and only structured output uses json
-    code = ("import sys; before = set(sys.modules); import kahlerlab.cli; "
-            "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    added = set(done.stdout.split())
-    assert done.returncode == 0 and "kahlerlab.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
+    # costs milliseconds, only structured output uses json, and argparse
+    # (with gettext and locale) is not used at all.  Under -S no .pth hook
+    # of `site` preloads importlib.resources or pathlib, which only
+    # verify-paper reads the shipped corpus with.
+    ring = str(REPO / "src" / "kahlerlab" / "corpus" / "cusp.ring")
+    script = ("import sys; before = set(sys.modules); import kahlerlab.cli\n"
+              "loaded = set(sys.modules)\n"
+              "code = kahlerlab.cli.main(['regular', '--ring', %r])\n"
+              "print(code, *sorted(loaded - before))\n"
+              "print(*sorted(set(sys.modules) - before))\n" % ring)
+    for flags, never in (([], set()),
+                         (["-S"], {"importlib.resources", "pathlib"})):
+        done = subprocess.run(
+            [sys.executable] + flags + ["-c", script], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert done.returncode == 0, done.stderr
+        out, imported, requested = done.stdout.splitlines()
+        code, *imported = imported.split()
+        assert out == "regular = false" and code == "0"
+        assert "kahlerlab.cli" in imported
+        assert not set(imported) & {"dataclasses", "inspect", "json"}
+        assert not set(requested.split()) & (
+            never | {"argparse", "gettext", "locale"}), flags
 
 
 def test_omega_text_output(capsys, cusp_file):
@@ -339,8 +359,6 @@ def test_verify_paper_structured_on_shipped_corpus(capsys):
     assert len(names) == len(set(names)) and len(names) >= 10
 
 
-REPO = Path(__file__).resolve().parents[1]
-
 # Every benchmark request: each takes at most about 1.5 s, and between them
 # they reach kernel, solve_linear, syzygies_over_ring, prune_rows, the
 # minimal chain behind projective_dimension, the rank elimination, the
@@ -505,9 +523,7 @@ def test_structured_envelope_matches_recording(capsys, monkeypatch, request_):
 
 
 def test_every_command_has_a_recorded_envelope():
-    sub, = (a for a in _build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction))
-    assert {r.split()[0] for r in RECORDED_ENVELOPES} == set(sub.choices)
+    assert {r.split()[0] for r in RECORDED_ENVELOPES} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("request_, keys", [
@@ -542,3 +558,230 @@ def test_verify_paper_request_echo(capsys, tmp_path):
                                     "--format", "structured"] + extra)
         assert code == 0
         assert json.loads(out)["request"] == {"corpus": corpus, "cases": 1}
+
+def test_malformed_corpus_file_is_named(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(REPO / "src" / "kahlerlab" / "corpus", corpus)
+    for name, data in (("cusp.ring", b"vars = [x;\n"),
+                       ("ex316.ring", b"vars = [x];\nideal = [\xff];\n")):
+        path = corpus / name
+        saved = path.read_bytes()
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["verify-paper", "--corpus", str(corpus)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s: " % path)
+        path.write_bytes(saved)
+
+
+# ---------------------------------------------------------------------------
+# the command table against the argparse parser it replaced, kept verbatim
+# here as the reference
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %d"
+                                         % value)
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="kahlerlab",
+        description="exact workbench for differential modules over "
+                    "Q[x_1..x_s]/I")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text, q=False, module=None, cutoff=False,
+            basis=False, target=False, bound=False):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--ring", required=True, metavar="FILE",
+                       help="ring file (vars/weights/ideal statements)")
+        if q:
+            p.add_argument("-q", type=_positive_int, default=1,
+                           help="differential order (default 1)")
+        if module is not None:
+            p.add_argument("--module", default=module[0], choices=module,
+                           help="which module to build (default %s)" % module[0])
+        if cutoff:
+            p.add_argument("--cutoff", type=_positive_int, default=6,
+                           help="resolution cutoff (default 6)")
+        if basis:
+            p.add_argument("--basis", default=None, metavar="MONOMIALS",
+                           help="comma-separated symbol order, e.g. "
+                                "\"x^2,y^2,x*y,x,y\"")
+        if target:
+            p.add_argument("--target", default="first",
+                           choices=("first", "jets"),
+                           help="contract to Omega^1 or embed into jets")
+        if bound:
+            p.add_argument("--degree-bound", type=_positive_int, default=6,
+                           help="oracle ansatz degree for rings that are "
+                                "not homogeneous")
+        p.add_argument("--format", default="text",
+                       choices=("text", "structured"))
+        return p
+
+    add("omega", "presentation of Omega^(q)", q=True, basis=True)
+    add("jets", "presentation of J_q of the ring or of Omega^(q)",
+        q=True, module=("ring", "omega"))
+    add("sym2", "presentation of S^2(Omega^(q))", q=True)
+    add("theta", "the map Omega^(2q) -> Omega^(q) targets, or into jets",
+        q=True, target=True)
+    add("iota", "the inclusion S^2(Omega^1) -> Omega^2")
+    add("split", "exactness and splitting of the symmetric-square sequence")
+    add("symderiv", "symmetric-derivation solver cross-checked by an oracle",
+        q=True, bound=True)
+    # the selector mini-syntax composes constructions: jets:omega is J_q
+    # applied to Omega^(q), sym2:omega the symmetric square, jets:ring J_q(R)
+    selectors = ("omega", "jets:omega", "sym2:omega", "jets:ring")
+    add("resolve", "free resolution of a module", q=True, module=selectors,
+        cutoff=True)
+    add("pd", "projective-dimension verdict", q=True, module=selectors,
+        cutoff=True)
+    add("rank", "generic rank of a module (domain rings)", q=True,
+        module=selectors)
+    add("regular", "Jacobian regularity of the ring")
+
+    vp = sub.add_parser("verify-paper",
+                        help="run the full verification table over a corpus")
+    vp.add_argument("--corpus", default=None, metavar="DIR",
+                    help="directory of .ring files (default: shipped corpus)")
+    vp.add_argument("--cases", type=_positive_int, default=200,
+                    help="randomized cases per property suite (default 200)")
+    vp.add_argument("--format", default="text",
+                    choices=("text", "structured"))
+    return top
+
+
+ORACLE = _build_parser()
+
+
+def _outcome(parse, argv):
+    """vars() of the parsed request, or the exit code of help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = parse(argv)
+        except SystemExit as e:
+            return 0 if not e.code else 2
+    return parsed if isinstance(parsed, int) else vars(parsed)
+
+
+def _both(argv):
+    return _outcome(ORACLE.parse_args, argv), _outcome(_parse_args, argv)
+
+
+def _oracle_commands():
+    """Each command of the reference parser with its option actions."""
+    sub, = (a for a in ORACLE._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)]
+            for name, parser in sub.choices.items()}
+
+
+def _accepted_forms():
+    """Every command with each option given as --opt V, --opt=V, the
+    shortest unique prefix with either, -qN and -q=N, and repeated."""
+    for command, actions in _oracle_commands().items():
+        base = [command] + (["--ring", "f"] if command != "verify-paper"
+                            else [])
+        longs = [s for a in actions for s in a.option_strings] + ["--help"]
+        for action in actions:
+            values = list(action.choices or ()) or (
+                ["2", "17"] if action.type else ["x", "y,x"])
+            flag = action.option_strings[0]
+            if flag.startswith("--"):
+                prefix = next(flag[:k] for k in range(3, len(flag) + 1)
+                              if sum(s.startswith(flag[:k])
+                                     for s in longs) == 1)
+                forms = [[flag, "%s"], [flag + "=%s"], [prefix, "%s"],
+                         [prefix + "=%s"]]
+            else:
+                forms = [[flag, "%s"], [flag + "%s"], [flag + "=%s"]]
+            for form in forms:
+                for value in values:
+                    given = [part.replace("%s", value) for part in form]
+                    yield base + given
+                    yield [command] + given + base[1:]
+                given = [part.replace("%s", values[0]) for part in form]
+                yield base + given + [part.replace("%s", values[-1])
+                                      for part in form]
+
+
+def test_accepted_forms_parse_as_argparse_did():
+    seen = 0
+    for argv in _accepted_forms():
+        want, got = _both(argv)
+        assert isinstance(want, dict) and got == want, argv
+        seen += 1
+    assert seen > 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega"],
+    ["omega", "--ring"],
+    ["omega", "--ring", "f", "-q", "0"],
+    ["omega", "--ring", "f", "-q", "x"],
+    ["pd", "--ring", "f", "--module", "mystery"],
+    ["theta", "--ring", "f", "--target", "nowhere"],
+    ["omega", "--ring", "f", "--format", "xml"],
+    ["omega", "--ring", "f", "--bogus"],
+    ["omega", "--ring", "f", "stray"],
+    [],
+    ["bogus", "--ring", "f"],
+    ["verify-paper", "--c", "5"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_exit_2_as_argparse_did(capsys, argv):
+    want, got = _both(argv)
+    assert want == got == 2
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    # an error before a known command is the program's, not a command's
+    prog = " ".join(["kahlerlab"] + argv[:1 if argv[:1] != ["bogus"] else 0])
+    assert usage.startswith("usage: ") and error.startswith(prog + ": error: ")
+
+
+@pytest.mark.parametrize("command", [None] + list(COMMANDS))
+def test_help_lists_every_option(capsys, command):
+    for flag in ("-h", "--help", "--he"):
+        argv = ([command] if command else []) + [flag]
+        assert _both(argv) == (0, 0)
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and out.startswith("usage: kahlerlab")
+        for name in ([o[0] for o in COMMANDS[command][1]] if command
+                     else list(COMMANDS)):
+            assert "  " + name + " " in out
+
+
+def test_random_argv_parse_as_argparse_did():
+    # besides the forms above: prefixes that are ambiguous or name no
+    # option, a negative number or a token with a space as a value, "--"
+    # (every later token is positional), letters after -h read as more
+    # short flags, unknown options and strays before a later -h
+    words = list(COMMANDS) + [
+        "bogus", "--ring", "--ring=f", "--ri", "f", "-q", "-q3", "-q=2", "-q0",
+        "-qx", "3", "0", "-1", "-5.", "-.5", "-x y", "--module", "--mod=omega",
+        "--m", "omega", "jets:omega", "sym2:omega", "jets:ring", "ring",
+        "mystery", "--format", "--form=structured", "--f", "structured",
+        "text", "--cutoff", "--cut=4", "--c", "--basis", "--bas=x,y", "--b",
+        "--target", "--tar", "first", "jets", "--degree-bound", "--deg=2",
+        "--d", "--corpus", "--cor=d", "--cases", "--cas", "--ca=7", "-h",
+        "--help", "--he", "-hh", "-hq3", "-hq", "-hx", "-h=q", "--help=x",
+        "-", "--", "---ring", "--=x", "-q ", "-r", "--bogus", "-q 3", "-h=",
+        "--ring=", "-q=", "-qq"]
+    rng = random.Random(2026)
+    for _ in range(3000):
+        argv = [rng.choice(words[:len(COMMANDS) + 1])] + \
+            ["--ring", "f"] * (rng.random() < 0.8) + \
+            [rng.choice(words) for _ in range(rng.randrange(6))]
+        if rng.random() < 0.1:
+            rng.shuffle(argv)
+        want, got = _both(argv)
+        assert got == want, argv
