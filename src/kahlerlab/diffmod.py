@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .poly import (ExpVec, Polynomial, Record, _coefficient, _trusted,
                    doubled_variables)
 from .parser import RingSpec, delta_label, jet_label, make_ringspec
-from .groebner import (FreeElement, NoSolution, _ideal_unit_rows, nf_poly,
-                       prune_rows, solve_linear)
+from .groebner import (FreeElement, NoSolution, nf_poly, prune_rows,
+                       solve_linear)
 from .presentations import (
     ModuleMap,
     Presentation,
@@ -38,6 +38,8 @@ from .presentations import (
     _pair_index,
     _row_degrees,
     direct_sum,
+    element_is_zero,
+    normalize_element,
     ring_as_module,
     symmetric_square,
 )
@@ -207,11 +209,20 @@ def _shifted(rows: Sequence[FreeElement], gammas: Sequence[ExpVec],
     return [tuple(mono * e for e in row) for row in rows for mono in monos]
 
 
+def _ideal_rows(k: int, gammas: Sequence[ExpVec],
+                ring: RingSpec) -> List[FreeElement]:
+    """x^gamma * f * e_t in R^k, by ideal generator f, then t, then gamma."""
+    zero = ring.zero()
+    monos = [Polynomial.monomial(ring.variables, g) for g in gammas]
+    return [tuple(mono * f if i == t else zero for i in range(k))
+            for f in ring.ideal for t in range(k) for mono in monos]
+
+
 def _omega_rows(ring: RingSpec, q: int,
                 monomials: Sequence[ExpVec]) -> List[FreeElement]:
     """Expansions of x^gamma * f, f an ideal generator, |gamma| < q."""
-    return [delta_expand(f, ring, q, monomials) for (f,) in _shifted(
-        _ideal_unit_rows(1, ring), _ideal_shifts(ring, q), ring)]
+    return [delta_expand(f, ring, q, monomials)
+            for (f,) in _ideal_rows(1, _ideal_shifts(ring, q), ring)]
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +261,7 @@ def jq_presentation(m: Presentation, q: int) -> Presentation:
         degrees = tuple(m.degrees[t] + order.degree(beta)
                         for beta in betas for t in range(k))
     raw = (_shifted(m.relations, betas, ring)
-           + _shifted(_ideal_unit_rows(k, ring), _ideal_shifts(ring, q), ring))
+           + _ideal_rows(k, _ideal_shifts(ring, q), ring))
     rows = prune_rows([jet_expand(r, ring, q) for r in raw], len(gens), ring)
     return Presentation(ring, gens, tuple(rows), degrees)
 
@@ -389,10 +400,12 @@ def symmetric_derivation_solve(ring: RingSpec, q: int = 1):
 
 
 def operator_is_order_at_most(op: Callable[[Polynomial], Sequence[Polynomial]],
-                              ring: RingSpec, q: int,
+                              m: Presentation, q: int,
                               max_degree: int = 3) -> bool:
-    """Differential-operator order test: all (q+1)-fold commutators of op
-    with variable multiplications vanish on monomials up to max_degree."""
+    """Differential-operator order test for op with values in the module m:
+    all (q+1)-fold commutators of op with variable multiplications are
+    zero in m on monomials up to max_degree."""
+    ring = m.ring
     nvars = len(ring.variables)
     monos = [Polynomial.monomial(ring.variables, e)
              for e in _exponent_vectors(nvars, max_degree, 0)]
@@ -417,7 +430,7 @@ def operator_is_order_at_most(op: Callable[[Polynomial], Sequence[Polynomial]],
                     total = [ring.zero()] * len(val)
                 for i, c in enumerate(val):
                     total[i] = total[i] + (outer * c).scale(sign)
-            if any(not nf_poly(c, ring).is_zero() for c in total):
+            if not element_is_zero(m, tuple(total)):
                 return False
     return True
 
@@ -428,15 +441,13 @@ def validate_symmetric_derivation(d: SymmetricDerivation) -> List[tuple]:
     Checks: (a) the Leibniz constraint on every relation row of Omega^(q)
     and on x^gamma * f * e_sigma for every generator e_sigma, ideal
     generator f and |gamma| < q; (b) the induced operator
-    h |-> D(expansion of h) has differential order <= q+1 on monomials of
-    degree <= 2; (c) the two expansion routes agree on monomials of degree
-    <= 3."""
-    from .presentations import element_is_zero, normalize_element
-
+    h |-> D(expansion of h) has differential order <= q+1 into S^2 on
+    monomials of degree <= 2; (c) the two expansion routes agree on
+    monomials of degree <= 3."""
     ring = d.ring
     problems: List[tuple] = []
-    rows = list(d.omega.relations) + _shifted(
-        _ideal_unit_rows(d.omega.ngens, ring), _ideal_shifts(ring, d.q), ring)
+    rows = list(d.omega.relations) + _ideal_rows(
+        d.omega.ngens, _ideal_shifts(ring, d.q), ring)
     for i, row in enumerate(rows):
         value = apply_derivation(d, row)
         if not element_is_zero(d.sym, value):
@@ -444,7 +455,7 @@ def validate_symmetric_derivation(d: SymmetricDerivation) -> List[tuple]:
                 ("relation", i, normalize_element(d.sym, value)))
     def induced(h):
         return apply_derivation(d, delta_expand(h, ring, d.q))
-    if not operator_is_order_at_most(induced, ring, d.q + 1, 2):
+    if not operator_is_order_at_most(induced, d.sym, d.q + 1, 2):
         problems.append(("order", d.q + 1))
     for exps in _exponent_vectors(len(ring.variables), 3, 1):
         mono = Polynomial.monomial(ring.variables, exps)

@@ -48,10 +48,9 @@ I*P^rank as one sparse vec {(k, e): c} per f*e_k, and `_as_row` checks
 every row on the way in, its length and its variable list.
 `syzygies_over_ring`, `prune_rows` and `solve_linear` work modulo
 span(base) + I*P^rank; a `SubmoduleBasis` is the untagged run with its rows
-as `base`, and every basis, the ring's own `ring_groebner` included, is
-built over a ring.  `submodule_over_ring` hands out one `SubmoduleBasis`
-per equal (rows, rank, ring) from a 16-entry LRU memo: a basis never
-changes once its lazy run is built, so equal spans share it.
+as `base`, built over a ring.  Every basis, the ring's own `ring_groebner`
+included, comes from one 16-entry LRU memo, one per equal (rows, rank,
+ring): a basis never changes once built, so equal spans share it.
 
 Graded completion.  When the ring is weighted homogeneous and `_grading`
 finds a degree shift per position under which every input row is
@@ -76,9 +75,9 @@ the one pair loop, completed by `_ring_run` and resumed row by row by
 `prune_rows`; `_minimal` picks the minimal leads; `syzygies_over_ring` is
 the one syzygy routine, over a ring with or without an ideal;
 `prune_rows` is the greedy pruner of every presentation, kernels
-included; a `SubmoduleBasis` answers `normal_form` and `contains` from its
-completed run, built on the first query, through one lead check and
-reduction (`_remainder`).  `nf_poly` is its rank-1 case for one polynomial
+included; a `SubmoduleBasis` answers `normal_form` and `contains` from the
+completed run it builds when made, through one lead check and reduction
+(`_remainder`).  `nf_poly` is its rank-1 case for one polynomial
 modulo I: it checks the variable list on every ring, returns a zero or
 already reduced polynomial as it is, and otherwise reduces the vec
 {(0, e): c} against `ring_groebner(ring)` through the same `_remainder`.
@@ -88,7 +87,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, sub
@@ -422,7 +421,8 @@ def _vec_to_row(vec: Vec, rank: int, variables: Tuple[str, ...]) -> FreeElement:
 
 class SubmoduleBasis:
     """span(rows) + I*P^rank over the ring's P, as the completed untagged
-    `_ring_run((), rank, ring, base=rows)`, built on the first query.
+    `_ring_run((), rank, ring, base=rows)` and its minimal leads by
+    position, both built when the basis is made.
 
     `normal_form` and `contains` reduce against the run's working elements:
     they are a Groebner basis, and the full remainder modulo any Groebner
@@ -434,18 +434,10 @@ class SubmoduleBasis:
         self.rows = tuple(rows)
         self.rank = rank
         self.ring = ring
-
-    @cached_property
-    def _run(self) -> _BuchbergerRun:
-        return _ring_run((), self.rank, self.ring, base=self.rows)
-
-    @cached_property
-    def _leads(self) -> Dict[int, List[ExpVec]]:
-        """The minimal lead monomials of the run, by position."""
-        leads: Dict[int, List[ExpVec]] = {}
+        self._run = _ring_run((), rank, ring, base=self.rows)
+        self._leads: Dict[int, List[ExpVec]] = {}
         for e in _minimal(self._run.elements):
-            leads.setdefault(e.lead[0], []).append(e.lead[1])
-        return leads
+            self._leads.setdefault(e.lead[0], []).append(e.lead[1])
 
     @property
     def groebner(self) -> List[Vec]:
@@ -488,7 +480,7 @@ def submodule_over_ring(rows: Sequence[Sequence[Polynomial]], rank: int,
     return _span_basis(tuple(map(tuple, rows)), rank, ring)
 
 
-# A basis never changes after its lazy run, so equal spans can share one.
+# A basis never changes once built, so equal spans can share one.
 @lru_cache(maxsize=16)
 def _span_basis(rows: Tuple[FreeElement, ...], rank: int,
                 ring: RingSpec) -> SubmoduleBasis:
@@ -499,10 +491,9 @@ def _span_basis(rows: Tuple[FreeElement, ...], rank: int,
 # quotient-ring conveniences
 
 
-@lru_cache(maxsize=None)
 def ring_groebner(ring: RingSpec) -> SubmoduleBasis:
-    """Cached basis of the defining ideal, a rank-1 submodule."""
-    return SubmoduleBasis((), 1, ring)
+    """Basis of the defining ideal: the span memo's entry for no rows."""
+    return _span_basis((), 1, ring)
 
 
 def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
@@ -514,15 +505,6 @@ def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
     rem = ring_groebner(ring)._remainder(
         {(0, e): c for e, c in p.terms.items()})
     return p if rem is None else _vec_to_row(rem, 1, ring.variables)[0]
-
-
-def _ideal_unit_rows(rank: int, ring: RingSpec) -> List[FreeElement]:
-    rows = []
-    zero = Polynomial.zero(ring.variables)
-    for f in ring.ideal:
-        for pos in range(rank):
-            rows.append(tuple(f if i == pos else zero for i in range(rank)))
-    return rows
 
 
 def _grading(rows: Sequence[FreeElement], rank: int,
@@ -598,18 +580,11 @@ def syzygies_over_ring(rows: Sequence[FreeElement], rank: int,
     if not rows:
         return []
     t = len(rows)
-    out: List[FreeElement] = []
-    seen = set()
-    for vec in _ring_run(rows, rank, ring, base).syzygies:
-        row = tuple(nf_poly(p, ring) for p in _vec_to_row(vec, t, ring.variables))
-        key = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if key in seen or all(p.is_zero() for p in row):
-            continue
-        seen.add(key)
-        out.append(row)
-    order = ring.order()
-    out.sort(key=lambda r: _low_term_key(_lead(_row_to_vec(r), order), order))
-    return out
+    out = dict.fromkeys(
+        tuple(nf_poly(p, ring) for p in _vec_to_row(vec, t, ring.variables))
+        for vec in _ring_run(rows, rank, ring, base).syzygies)
+    return sorted((r for r in out if not all(p.is_zero() for p in r)),
+                  key=lambda r: row_lead_key(r, ring), reverse=True)
 
 
 def row_lead_key(row: FreeElement, ring: RingSpec):

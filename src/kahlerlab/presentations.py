@@ -20,7 +20,6 @@ resolution.minimal_presentation uses the same step.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, Record
@@ -107,9 +106,9 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(ring, labels, tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
 def relation_basis(m: Presentation) -> SubmoduleBasis:
-    """Ideal-augmented basis of the relation submodule; cached by value."""
+    """Ideal-augmented basis of the relation submodule, from the span
+    memo."""
     return submodule_over_ring(m.relations, m.ngens, m.ring)
 
 
@@ -261,12 +260,10 @@ def direct_sum(a: Presentation, b: Presentation
     if a.degrees is not None and b.degrees is not None:
         degrees = a.degrees + b.degrees
     total = Presentation(ring, gens, tuple(rows), degrees)
-    inc_a = ModuleMap(a, total, tuple(
-        tuple(r) + tuple(zero for _ in b.generators)
-        for r in (a.unit_row(i) for i in range(a.ngens))))
-    inc_b = ModuleMap(b, total, tuple(
-        tuple(zero for _ in a.generators) + tuple(r)
-        for r in (b.unit_row(i) for i in range(b.ngens))))
+    inc_a = ModuleMap(a, total, tuple(total.unit_row(i)
+                                      for i in range(a.ngens)))
+    inc_b = ModuleMap(b, total, tuple(total.unit_row(a.ngens + i)
+                                      for i in range(b.ngens)))
     return total, inc_a, inc_b
 
 

@@ -13,14 +13,9 @@ import random
 from .poly import Polynomial, format_polynomial, partial_derivative
 from .parser import (make_ringspec, parse_poly, parse_ringspec, ring_statements,
                      statements_text)
-from .groebner import (
-    _ideal_unit_rows,
-    nf_poly,
-    submodule_over_ring,
-    syzygies_over_ring,
-)
-from .diffmod import (_exponent_vectors, _omega_rows, _shifted, delta_expand,
-                      delta_expand_via_products, delta_monomials)
+from .groebner import nf_poly, submodule_over_ring, syzygies_over_ring
+from .diffmod import (_exponent_vectors, _ideal_rows, _omega_rows,
+                      delta_expand, delta_expand_via_products, delta_monomials)
 
 XY = ("x", "y")
 PLANE = make_ringspec(XY)
@@ -156,7 +151,7 @@ def run_relation_set_equivalence(rng: random.Random, cases: int) -> int:
         span = submodule_over_ring(_omega_rows(ring, q, monomials),
                                    len(monomials), ring)
         top = _exponent_vectors(len(ring.variables), q, q)
-        for (g,) in _shifted(_ideal_unit_rows(1, ring), top, ring):
+        for (g,) in _ideal_rows(1, top, ring):
             assert span.contains(delta_expand(g, ring, q))
         done += 1
     return done

@@ -276,6 +276,20 @@ def test_origin_off_the_variety_has_no_minimal_chain(capsys, tmp_path):
     assert "graded = false;" in out
 
 
+def test_split_and_symderiv_on_the_circle(capsys, tmp_path):
+    path = tmp_path / "circle.ring"
+    path.write_text("vars = [x, y];\nideal = [x^2 + y^2 - 1];\n")
+    code, out, _ = run(capsys, ["split", "--ring", str(path)])
+    assert code == 0
+    assert "derivation_found = true;" in out
+    assert "exact = [true, true, true];" in out
+    assert "splitting = true;" in out
+    code, out, _ = run(capsys, [
+        "symderiv", "--ring", str(path), "--degree-bound", "1"])
+    assert code == 0
+    assert "oracle_agrees = true;" in out
+
+
 @pytest.mark.parametrize("ideal, column, exponent", [
     pytest.param("x^2000000000", 12, 2000000000, id="x^2000000000-12"),
     pytest.param("x^999999999*x^999999999", 21, 1999999998,

@@ -63,6 +63,8 @@ CONE = parse_ringspec("vars = [x, y, z]; ideal = [x*y - z^2];")
 EX316 = parse_ringspec(
     "vars = [x, y, z]; weights = [4, 5, 6]; "
     "ideal = [y^2 - x*z, z^2 - x^3]; assume_domain = true;")
+# not homogeneous, and its symmetric derivation has nonzero images
+CIRCLE = parse_ringspec("vars = [x, y]; ideal = [x^2 + y^2 - 1];")
 
 
 def p(text, ring=PLANE):
@@ -186,12 +188,15 @@ def test_back_substitute_inverts_the_taylor_table(ring, q):
 
 def test_delta_expand_is_order_q():
     assert operator_is_order_at_most(
-        lambda h: delta_expand(h, PLANE, 1), PLANE, 1, max_degree=3)
+        lambda h: delta_expand(h, PLANE, 1), omega_presentation(PLANE, 1), 1,
+        max_degree=3)
     assert operator_is_order_at_most(
-        lambda h: delta_expand(h, CUSP, 2), CUSP, 2, max_degree=4)
+        lambda h: delta_expand(h, CUSP, 2), omega_presentation(CUSP, 2), 2,
+        max_degree=4)
     # and it genuinely is not of lower order
     assert not operator_is_order_at_most(
-        lambda h: delta_expand(h, PLANE, 2), PLANE, 1, max_degree=3)
+        lambda h: delta_expand(h, PLANE, 2), omega_presentation(PLANE, 2), 1,
+        max_degree=3)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +434,27 @@ def test_validator_flags_broken_derivation():
         CUSP, 1, omega, sym,
         tuple(sym.zero_row() for _ in range(omega.ngens)))
     assert validate_symmetric_derivation(fake) != []
+
+
+def test_circle_derivation_has_images_and_validates_clean():
+    d = symmetric_derivation_solve(CIRCLE, 1)
+    assert d.images == (row(["-x", "0", "-x"], CIRCLE),
+                        row(["-y", "0", "-y"], CIRCLE))
+    # D(x d1(x)) = s(d1(x), d1(x)) + x D(d1(x))
+    assert apply_derivation(d, row(["x", "0"], CIRCLE)) == \
+        row(["1 - x^2", "0", "-x^2"], CIRCLE)
+    # the order check's commutators are zero in S^2(Omega^1), though not
+    # entry by entry modulo I
+    assert validate_symmetric_derivation(d) == []
+
+
+@pytest.mark.parametrize("degree_bound", [1, 2, 3])
+def test_circle_oracle_agrees_with_the_solver(degree_bound):
+    # an ungraded ring: the oracle searches all monomials up to the bound
+    assert not CIRCLE.homogeneous
+    assert isinstance(symmetric_derivation_solve(CIRCLE, 1),
+                      SymmetricDerivation)
+    assert symmetric_derivation_oracle(CIRCLE, 1, degree_bound)
 
 
 def test_solver_certificate_on_ex316():

@@ -9,14 +9,14 @@ from math import gcd, lcm
 import pytest
 
 from kahlerlab import groebner
-from kahlerlab.diffmod import (_omega_rows, delta_monomials, jq_presentation,
-                               omega_presentation, theta_to_first)
+from kahlerlab.diffmod import (_ideal_rows, _omega_rows, delta_monomials,
+                               jq_presentation, omega_presentation,
+                               theta_to_first)
 from kahlerlab.groebner import (
     NoSolution,
     Solution,
     _BuchbergerRun,
     _grading,
-    _ideal_unit_rows,
     _reduced_basis,
     _ring_run,
     _row_to_vec,
@@ -528,7 +528,8 @@ def _ref_syzygy_rows(raw, t, ring):
 
 
 def _ref_solve(columns, b, ring, criteria=True):
-    items = list(columns) + _ideal_unit_rows(len(b), ring)
+    items = list(columns) + _ideal_rows(len(b), [(0,) * len(ring.variables)],
+                                        ring)
     run = _RefRun([_row_to_vec(r) for r in items], ring.order(), len(b),
                   ntracked=len(columns), criteria=criteria)
     acc = {}
@@ -638,7 +639,8 @@ def test_engine_matches_the_rational_reference(ring):
     solved = 0
     for _ in range(3):
         rows = _random_rows(rng, ring, 3, 2)
-        items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
+        items = [_row_to_vec(r) for r in rows + _ideal_rows(
+            2, [(0,) * len(ring.variables)], ring)]
         tracked = _RefRun(items, order, 2, ntracked=len(rows))
         run = _ring_run(rows, 2, ring)
         assert len(run.elements) == len(tracked.elements)
@@ -692,7 +694,8 @@ def test_pair_criteria_keep_what_the_engine_promises(ring, monkeypatch):
     for _ in range(3):
         rows = _random_rows(rng, ring, 3, 2)
         t = len(rows)
-        items = [_row_to_vec(r) for r in rows + _ideal_unit_rows(2, ring)]
+        items = [_row_to_vec(r) for r in rows + _ideal_rows(
+            2, [(0,) * len(ring.variables)], ring)]
         free = _RefRun(items, order, 2, ntracked=t, criteria=False)
         del calls[:]
         run = _ring_run(rows, 2, ring)
@@ -937,6 +940,12 @@ def test_nf_poly_matches_the_reduced_basis_of_the_reference():
                        for c in got.terms.values())
             reduced += got != poly
         assert 0 < reduced < len(polys)
+
+
+def test_the_ring_basis_is_the_span_of_no_rows():
+    assert groebner.ring_groebner(CUSP) is submodule_over_ring((), 1, CUSP)
+    assert groebner.ring_groebner(CUSP).groebner_rows() == [
+        (p("y^2 - x^3", CUSP),)]
 
 
 def test_equal_spans_share_one_basis(monkeypatch):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a kahlerlab module imports is used in it,
 every module-level private function or class is used in the package,
 every public one is used in the package or the tests, every true
-division is exact, every defaulted parameter is passed somewhere, and
-every cache is bounded.
+division is exact, every defaulted parameter is passed somewhere, every
+cache is bounded, and every source and test file parses as Python 3.10,
+the oldest version `pyproject.toml` allows.
 
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports.
@@ -235,16 +236,14 @@ def test_every_defaulted_parameter_is_passed():
     assert _never_passed(defining, calling) == []
 
 
-# Caches stay bounded in a long-lived process.  These eight unbounded ones
-# predate the rule; ROADMAP item 6(c) lists them for bounding.
+# Caches stay bounded in a long-lived process.  These six unbounded ones
+# predate the rule; ROADMAP item 4 lists them for bounding.
 UNBOUNDED_CACHES = {
     ("diffmod.py", "_expansion_coords"),
     ("diffmod.py", "omega_presentation"),
     ("diffmod.py", "jq_presentation"),
     ("diffmod.py", "iota_sym_to_omega2"),
     ("diffmod.py", "symmetric_derivation_solve"),
-    ("groebner.py", "ring_groebner"),
-    ("presentations.py", "relation_basis"),
     ("resolution.py", "minimal_resolution"),
 }
 
@@ -283,3 +282,21 @@ def test_caches_are_bounded():
     found = {entry for path in MODULES
              for entry in _unbounded_caches(path.name, path.read_text())}
     assert found <= UNBOUNDED_CACHES
+
+
+def _parses_as_310(source):
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_the_check_sees_a_construct_newer_than_310():
+    assert not _parses_as_310("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert _parses_as_310("match x:\n    case 1:\n        pass\n")
+
+
+def test_sources_parse_as_python_310():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [p.name for p in paths if not _parses_as_310(p.read_text())] == []

@@ -19,7 +19,8 @@ from kahlerlab.resolution import (
     minimal_resolution,
     projective_dimension,
 )
-from kahlerlab.groebner import nf_poly, ring_groebner
+from kahlerlab import groebner
+from kahlerlab.groebner import nf_poly
 
 PLANE = make_ringspec(("x", "y"))
 LINE = make_ringspec(("x",))
@@ -166,6 +167,11 @@ def test_jacobian_regular():
 
 
 def test_jacobian_regular_caches_only_the_ring_basis():
-    ring_groebner.cache_clear()
+    groebner._span_basis.cache_clear()
     assert not jacobian_regular(CUSP)
-    assert ring_groebner.cache_info().currsize == 1
+    # the ring's own basis and the span of I and the minors, both over the
+    # cusp: no throwaway ring's basis
+    info = groebner._span_basis.cache_info()
+    assert info.currsize == 2
+    groebner.ring_groebner(CUSP)
+    assert groebner._span_basis.cache_info().misses == info.misses
