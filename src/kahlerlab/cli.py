@@ -323,6 +323,18 @@ def _expect(cond: bool, detail: str) -> None:
         raise VerifyFailure(detail)
 
 
+def _expect_split(ring: RingSpec, derivation, prefix: str) -> None:
+    """The split sequence over ring is exact, kernel(theta) == image(iota)
+    and the derivation's retraction splits it; each detail starts with
+    prefix."""
+    exact, splitting = _split_sequence(ring, derivation)
+    _expect(exact == [True, True, True],
+            "%ssequence not exact: %r" % (prefix, exact))
+    _expect(_kernel_matches_image(ring),
+            prefix + "kernel(theta) != image(iota)")
+    _expect(splitting, prefix + "retraction is not a splitting")
+
+
 _CORPUS_NAMES = ("poly1", "poly2", "poly3", "cusp", "ex316")
 
 _CUSP_BASIS = ((2, 0), (0, 2), (1, 1), (1, 0), (0, 1))
@@ -391,10 +403,7 @@ def _check_split_plane(rings, cases):
             "no symmetric derivation on the plane")
     _expect(all(all(c.is_zero() for c in img) for img in out.images),
             "plane derivation should have zero generator images")
-    exact, splitting = _split_sequence(ring, out)
-    _expect(exact == [True, True, True], "sequence not exact: %r" % exact)
-    _expect(_kernel_matches_image(ring), "kernel(theta) != image(iota)")
-    _expect(splitting, "retraction is not a splitting")
+    _expect_split(ring, out, "")
 
 
 def _check_theta_jets(rings, cases):
@@ -479,12 +488,7 @@ def _check_symderiv_consistency(rings, cases):
     for name in sorted(rings):
         got = symmetric_derivation_solve(rings[name], 1)
         if isinstance(got, SymmetricDerivation):
-            exact, splitting = _split_sequence(rings[name], got)
-            _expect(exact == [True, True, True],
-                    "%s: sequence not exact: %r" % (name, exact))
-            _expect(_kernel_matches_image(rings[name]),
-                    "%s: kernel(theta) != image(iota)" % name)
-            _expect(splitting, "%s: retraction is not a splitting" % name)
+            _expect_split(rings[name], got, "%s: " % name)
 
 
 def _check_pd_sweep(rings, cases):

@@ -29,14 +29,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .poly import (ExpVec, Polynomial, Record, _coefficient, _trusted,
                    doubled_variables)
 from .parser import RingSpec, delta_label, jet_label, make_ringspec
-from .groebner import (FreeElement, NoSolution, nf_poly, prune_rows,
-                       solve_linear)
+from .groebner import (FreeElement, NoSolution, _grading, nf_poly,
+                       prune_rows, solve_linear)
 from .presentations import (
     ModuleMap,
     Presentation,
     _add_sym,
     _pair_index,
-    _row_degrees,
     direct_sum,
     element_is_zero,
     normalize_element,
@@ -503,7 +502,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     Looks for polynomial generator images, relation-span multipliers and
     ideal multipliers making the Leibniz constraint an exact polynomial
     identity; the search is a Q-linear system over a bounded monomial
-    ansatz, solved by Gaussian elimination.  When the ring is homogeneous
+    ansatz, solved by sparse forward elimination.  When the ring is homogeneous
     for its grading (x_i has its declared weight, or 1) and so are all
     relation rows, each unknown is sought in its exact degree: every known
     term of the identity is homogeneous, so the right-degree part of any
@@ -527,9 +526,10 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
                 _add_sym(acc, pair, delta_expand(entry, plain, q), sigma)
         leib_rows.append(acc)
 
-    row_degrees = _row_degrees(omega.relations, omega.degrees, ring)
-    sym_degrees = _row_degrees(sym.relations, sym.degrees, ring)
-    graded = row_degrees is not None and sym_degrees is not None
+    gradings = [_grading(m.relations, m.ngens, ring, m.degrees)
+                for m in (omega, sym)]
+    graded = all(g and None not in g[1] for g in gradings)
+    row_degrees, sym_degrees = (g and g[1] for g in gradings)
     order = ring.order()
     nvars = len(ring.variables)
 
@@ -602,28 +602,31 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
             for j, f in enumerate(ring.ideal):
                 add_term(rho, c, ("ideal", rho, c, j), f)
 
-    return _rational_system_solvable(rows, rhs, ncols)
+    return _rational_system_solvable(rows, rhs)
 
 
 def _rational_system_solvable(rows: List[Dict[int, Fraction]],
-                              rhs: List[Fraction], ncols: int) -> bool:
-    """Gaussian elimination over Q; True when Ax = b has a solution."""
-    m = [[row.get(c, Fraction(0)) for c in range(ncols)] + [b]
-         for row, b in zip(rows, rhs)]
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return not any(all(a == 0 for a in row[:-1]) and row[-1] != 0
-                   for row in m)
+                              rhs: List[Fraction]) -> bool:
+    """Sparse forward elimination over Q; True when Ax = b has a solution.
+
+    A row is reduced at its lowest column while a pivot row leads there,
+    then kept, scaled to a leading 1, as that column's pivot row.  Ax = b
+    has no solution exactly when a row reduces to its right side alone."""
+    pivots: Dict[int, Tuple[Dict[int, Fraction], Fraction]] = {}
+    for row, b in zip(rows, rhs):
+        row = {c: v for c, v in row.items() if v}
+        col = min(row, default=None)
+        while col in pivots:
+            pivot, pb = pivots[col]
+            f = row[col]
+            for c, v in pivot.items():
+                row[c] = row.get(c, 0) - f * v
+            row = {c: v for c, v in row.items() if v}
+            b -= f * pb
+            col = min(row, default=None)
+        if row:
+            pivots[col] = ({c: Fraction(v, row[col]) for c, v in row.items()},
+                           Fraction(b, row[col]))
+        elif b:
+            return False
+    return True

@@ -67,7 +67,10 @@ basis up to degree upto, which decides membership in every degree <= upto
 completes up to each row's degree and `solve_linear` up to the degree of
 b, so both answer exactly as a full completion does; on ungraded input
 they complete in full, as `SubmoduleBasis` and `syzygies_over_ring`
-always do.
+always do.  Every row degree comes from `_grading`, the one rule for
+them: given a module's generator degrees as the shifts, it also decides
+a resolution's `graded` flag and the degrees of the symmetric-derivation
+oracle's exact-degree ansatz.
 
 Each engine step has one implementation: `_reduce` is the reduction loop
 of Buchberger, of normal forms and of `solve_linear`; `_BuchbergerRun` is
@@ -249,13 +252,6 @@ class _BuchbergerRun:
         self.held: List[Tuple] = []
         self.syzygies: List[Vec] = []
 
-    def degree(self, vec: Vec) -> Optional[int]:
-        """The module degree of a nonzero vec on a graded run, else None."""
-        if self.shifts is None or not vec:
-            return None
-        pos, exps = next(iter(vec))
-        return self.order.degree(exps) + self.shifts[pos]
-
     def add(self, vec: Vec) -> None:
         """Take a nonzero element in: one that leads with a tag is a
         syzygy, shifted down by rank; any other joins the basis and updates
@@ -323,13 +319,12 @@ class _BuchbergerRun:
             if remainder:
                 self.add(remainder)
 
-    def absorb(self, vec: Vec) -> bool:
-        """On an untagged run, completed up to vec's degree first: False if
-        vec lies in the submodule (at once when it is zero), else add its
-        remainder, complete again, True."""
+    def absorb(self, vec: Vec, degree: Optional[int]) -> bool:
+        """On an untagged run, completed up to vec's degree first (in full
+        when it is None): False if vec lies in the submodule (at once when
+        it is zero), else add its remainder, complete again, True."""
         if not vec:
             return False
-        degree = self.degree(vec)
         self.complete(degree)
         remainder, _ = _reduce(vec, self.elements, self.by_pos, self.order)
         if remainder:
@@ -507,40 +502,47 @@ def nf_poly(p: Polynomial, ring: RingSpec) -> Polynomial:
     return p if rem is None else _vec_to_row(rem, 1, ring.variables)[0]
 
 
-def _grading(rows: Sequence[FreeElement], rank: int,
-             ring: RingSpec) -> Optional[List[int]]:
-    """Per-position degree shifts under which every row is homogeneous:
-    a nonzero entry at position k has weighted degree d - shifts[k], d the
-    row's degree.  Positions a row links get consistent shifts, each linked
-    set starting from 0.  None when the ring or an entry is not homogeneous
-    or no shifts fit."""
+def _grading(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
+             shifts: Optional[Sequence[int]] = None
+             ) -> Optional[Tuple[List[int], List[Optional[int]]]]:
+    """Per-position degree shifts under which every row is homogeneous, and
+    each row's degree: a nonzero entry at position k has weighted degree
+    d - shifts[k], d the row's degree.  Given shifts are kept for their
+    positions; the other positions rows link get consistent shifts, each
+    linked set of them starting from 0.  A zero row links nothing and has
+    degree None.  None when the ring or an entry is not homogeneous or no
+    shifts fit."""
     if not ring.homogeneous:
         return None
-    degrees = [[(k, p.homogeneous_degree(ring.weights))
-                for k, p in enumerate(row) if p.terms] for row in rows]
+    entries = [{k: p.homogeneous_degree(ring.weights)
+                for k, p in enumerate(row) if p.terms} for row in rows]
+    if any(None in row.values() for row in entries):
+        return None
     at: Dict[int, List[int]] = {}
-    for i, row in enumerate(degrees):
-        for k, h in row:
-            if h is None:
-                return None
+    for i, row in enumerate(entries):
+        for k in row:
             at.setdefault(k, []).append(i)
-    shifts: Dict[int, int] = {}
+    found = dict(enumerate(shifts or ()))
     seen = set()
     for start in at:
-        if start in shifts:
+        if start in found:
             continue
-        shifts[start] = 0
+        found[start] = 0
         stack = [start]
         while stack:
             k = stack.pop()
             for i in set(at[k]) - seen:
                 seen.add(i)
-                d = shifts[k] + dict(degrees[i])[k]
-                for pos, h in degrees[i]:
-                    if shifts.setdefault(pos, d - h) != d - h:
-                        return None
-                    stack.append(pos)
-    return [shifts.get(k, 0) for k in range(rank)]
+                d = found[k] + entries[i][k]
+                for pos, h in entries[i].items():
+                    if pos not in found:
+                        found[pos] = d - h
+                        stack.append(pos)
+    degrees = [{h + found[k] for k, h in row.items()} for row in entries]
+    if any(len(d) > 1 for d in degrees):
+        return None
+    return ([found.get(k, 0) for k in range(rank)],
+            [min(d) if d else None for d in degrees])
 
 
 def _ring_run(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
@@ -615,12 +617,13 @@ def prune_rows(rows: Sequence[FreeElement], rank: int, ring: RingSpec,
     and `base` are graded; a zero remainder means membership, otherwise the
     remainder joins the run and the row itself is kept.
     """
-    run = _ring_run((), rank, ring, base,
-                    _grading([*rows, *base], rank, ring))
+    shifts, degrees = (_grading([*rows, *base], rank, ring)
+                       or (None, [None] * len(rows)))
+    run = _ring_run((), rank, ring, base, shifts)
     kept: List[FreeElement] = []
-    for row in rows:
+    for row, degree in zip(rows, degrees):
         row = tuple(nf_poly(p, ring) for p in _as_row(row, rank, ring))
-        if run.absorb(_row_to_vec(row)):
+        if run.absorb(_row_to_vec(row), degree):
             kept.append(row)
     return kept
 
@@ -650,10 +653,11 @@ def solve_linear(columns: Sequence[FreeElement], b: FreeElement,
     otherwise the remainder is all tags, and the column tags read -x.
     """
     nrows = len(b)
-    run = _ring_run(columns, nrows, ring, base,
-                    _grading([*columns, *base, b], nrows, ring))
+    shifts, degrees = (_grading([*columns, *base, b], nrows, ring)
+                       or (None, [None]))
+    run = _ring_run(columns, nrows, ring, base, shifts)
     vec = _row_to_vec(_as_row(b, nrows, ring))
-    run.complete(run.degree(vec))
+    run.complete(degrees[-1])
     remainder, m = _reduce(vec, run.elements, run.by_pos, run.order)
     _vec_divide(remainder, m)
     residual = _vec_to_row(remainder, nrows, ring.variables)

@@ -371,24 +371,3 @@ def _matrix_rank(rows: Sequence[Sequence[Polynomial]], ring: RingSpec) -> int:
     return count
 
 
-def _row_degrees(rows: Sequence[Sequence[Polynomial]],
-                 degrees: Optional[Sequence[int]],
-                 ring: RingSpec) -> Optional[List[int]]:
-    """The degree of every row under the ring's grading, where column i
-    has degree degrees[i]; None when the degrees are missing, the ring is
-    not homogeneous, or a row is not homogeneous (zero rows included)."""
-    if degrees is None or not ring.homogeneous:
-        return None
-    out = []
-    for row in rows:
-        found = set()
-        for entry, d in zip(row, degrees):
-            if not entry.is_zero():
-                h = entry.homogeneous_degree(ring.weights)
-                if h is None:
-                    return None
-                found.add(h + d)
-        if len(found) != 1:
-            return None
-        out.append(found.pop())
-    return out

@@ -32,9 +32,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Coeff, Polynomial, Record, partial_derivative
 from .parser import RingSpec
-from .groebner import (FreeElement, krull_dimension, nf_poly, prune_rows,
-                       row_lead_key, submodule_over_ring, syzygies_over_ring)
-from .presentations import Presentation, _clear_column, _row_degrees
+from .groebner import (FreeElement, _grading, krull_dimension, nf_poly,
+                       prune_rows, row_lead_key, submodule_over_ring,
+                       syzygies_over_ring)
+from .presentations import Presentation, _clear_column
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -125,11 +126,12 @@ def _chain(rows: Sequence[FreeElement], ring: RingSpec, cutoff: int,
 
 
 def _graded_chain(m: Presentation, steps) -> bool:
-    """True when the ring is homogeneous, m has generator degrees and every
-    step row is homogeneous for the ring's grading (_row_degrees)."""
+    """True when the ring is homogeneous, m has generator degrees and,
+    step by step, every row has a degree under them (_grading)."""
     degrees = m.degrees if m.ring.homogeneous else None
     for step in steps:
-        degrees = _row_degrees(step, degrees, m.ring)
+        grading = degrees and _grading(step, len(degrees), m.ring, degrees)
+        degrees = grading[1] if grading and None not in grading[1] else None
     return degrees is not None
 
 

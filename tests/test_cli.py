@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -288,6 +289,19 @@ def test_split_and_symderiv_on_the_circle(capsys, tmp_path):
         "symderiv", "--ring", str(path), "--degree-bound", "1"])
     assert code == 0
     assert "oracle_agrees = true;" in out
+
+
+def test_symderiv_at_q2_on_the_circle_stays_within_budget(capsys, tmp_path):
+    # an ungraded ring, so the oracle's ansatz is every monomial up to the
+    # default bound 6: a 2,025 x 4,452 sparse system, which dense
+    # Gauss-Jordan elimination over Q took minutes to decide
+    path = tmp_path / "circle.ring"
+    path.write_text("vars = [x, y];\nideal = [x^2 + y^2 - 1];\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["symderiv", "--ring", str(path), "-q", "2"])
+    assert time.perf_counter() - start < 15
+    assert code == 0
+    assert out == "verdict = found;\noracle_agrees = true;\n"
 
 
 @pytest.mark.parametrize("ideal, column, exponent", [

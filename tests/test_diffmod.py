@@ -32,6 +32,7 @@ from kahlerlab.presentations import (
 from kahlerlab.diffmod import (
     SymmetricDerivation,
     _back_substitute,
+    _rational_system_solvable,
     _expansion_coords,
     _exponent_vectors,
     apply_derivation,
@@ -455,6 +456,73 @@ def test_circle_oracle_agrees_with_the_solver(degree_bound):
     assert isinstance(symmetric_derivation_solve(CIRCLE, 1),
                       SymmetricDerivation)
     assert symmetric_derivation_oracle(CIRCLE, 1, degree_bound)
+
+
+def _dense_system_solvable(rows, rhs, ncols):
+    """Dense Gauss-Jordan elimination over Q, the oracle's former solver,
+    kept as the reference for the sparse one."""
+    m = [[Fraction(row.get(c, 0)) for c in range(ncols)] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][col]
+        m[r] = [a / pv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return not any(all(a == 0 for a in row[:-1]) and row[-1] != 0
+                   for row in m)
+
+
+def _seeded_system(rng, consistent):
+    """A sparse system with small int entries whose right-hand side is A
+    times a seeded solution; an inconsistent one gains a combination of
+    its rows whose right-hand side is off by one."""
+    ncols = rng.randrange(1, 12)
+    rows = [{c: rng.choice((-3, -1, 1, 2, Fraction(1, 2)))
+             for c in rng.sample(range(ncols), rng.randrange(1, ncols + 1))}
+            for _ in range(rng.randrange(1, 12))]
+    x = [rng.randrange(-3, 4) for _ in range(ncols)]
+    rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+    if not consistent:
+        combo = {}
+        b = 1
+        for row, value in zip(rows, rhs):
+            f = rng.randrange(-2, 3)
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + f * v
+            b += f * value
+        at = rng.randrange(len(rows) + 1)
+        rows.insert(at, combo)
+        rhs.insert(at, b)
+    return rows, rhs, ncols
+
+
+def test_sparse_system_solver_matches_the_dense_reference():
+    """Seeded consistent and inconsistent systems, and systems with a
+    random right-hand side: the verdict of the dense reference."""
+    rng = random.Random(2801)
+    verdicts = []
+    for i in range(400):
+        if i % 3 < 2:
+            rows, rhs, ncols = _seeded_system(rng, consistent=i % 3 == 0)
+            want = i % 3 == 0
+        else:
+            rows, _, ncols = _seeded_system(rng, consistent=True)
+            rhs = [rng.randrange(-2, 3) for _ in rows]
+            want = _dense_system_solvable(rows, rhs, ncols)
+        assert _dense_system_solvable(rows, rhs, ncols) == want
+        assert _rational_system_solvable(rows, rhs) == want
+        verdicts.append(want)
+    assert 100 < sum(verdicts) < 300
 
 
 def test_solver_certificate_on_ex316():

@@ -191,7 +191,7 @@ def test_absorb_extends_to_the_reduced_basis_of_all_rows():
     rank = len(monomials)
     run = _ring_run((), rank, EX316)
     rows = _omega_rows(EX316, 2, monomials)
-    absorbed = [run.absorb(_row_to_vec(r)) for r in rows + rows[:1]]
+    absorbed = [run.absorb(_row_to_vec(r), None) for r in rows + rows[:1]]
     assert absorbed[0] and not absorbed[-1]
     assert (_reduced_basis(run.elements, EX316.order())
             == submodule_over_ring(rows, rank, EX316).groebner)
@@ -274,9 +274,9 @@ def test_stepped_completion_keeps_the_held_pairs():
     monomials = delta_monomials(EX316, 2)
     rank = len(monomials)
     rows = _omega_rows(EX316, 2, monomials)
-    run = _ring_run((), rank, EX316, base=rows,
-                    shifts=_grading(rows, rank, EX316))
-    degrees = sorted({run.degree(_row_to_vec(r)) for r in rows})
+    shifts, degrees = _grading(rows, rank, EX316)
+    run = _ring_run((), rank, EX316, base=rows, shifts=shifts)
+    degrees = sorted(set(degrees))
     for upto in degrees[0], degrees[-1]:
         run.complete(upto)
         assert run.held and all(d > upto for d, *_ in run.held)
@@ -294,7 +294,7 @@ def test_ungraded_input_takes_the_full_completion(monkeypatch):
     circle = parse_ringspec(
         "vars = [x, y]; ideal = [x^2 + y^2 - 1]; assume_domain = true;")
     x, y, zero = p("x"), p("y"), p("0")
-    assert _grading([(x * x, y), (zero, x)], 3, PLANE) == [0, 1, 0]
+    assert _grading([(x * x, y), (zero, x)], 3, PLANE) == ([0, 1, 0], [2, 2])
     assert _grading([(x, y)], 2, circle) is None
     assert _grading([(x + p("1"), y)], 2, PLANE) is None
     assert _grading([(x, p("1")), (p("1"), x)], 2, PLANE) is None

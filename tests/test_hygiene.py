@@ -107,10 +107,7 @@ def test_no_unreferenced_public_defs():
 
 
 # Coefficients may be ints, and int / int is a float.  A true division is
-# exact when one operand is a Fraction(...) call, or inside a function whose
-# operands are Fractions by construction:
-# _rational_system_solvable seeds every entry with Fraction(0).
-DIVISION_ALLOWED = {("diffmod.py", "_rational_system_solvable")}
+# exact when one operand is a Fraction(...) call.
 
 
 def _is_fraction_call(node):
@@ -118,9 +115,9 @@ def _is_fraction_call(node):
             and node.func.id == "Fraction")
 
 
-def _unchecked_divisions(module, source):
+def _unchecked_divisions(source):
     """(line, enclosing function) of each `/` or `/=` in source with no
-    Fraction(...) operand, outside the functions in DIVISION_ALLOWED."""
+    Fraction(...) operand."""
     found = []
 
     def visit(node, func):
@@ -131,8 +128,7 @@ def _unchecked_divisions(module, source):
             operands = (node.left, node.right)
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
             operands = (node.target, node.value)
-        if (operands and not any(map(_is_fraction_call, operands))
-                and (module, func) not in DIVISION_ALLOWED):
+        if operands and not any(map(_is_fraction_call, operands)):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -145,14 +141,13 @@ def test_the_check_sees_an_unchecked_division():
     source = ("def f(c):\n    return 1 / c\n\n"
               "def g(c, d):\n    d /= 2\n    return Fraction(1) / c + d\n\n"
               "def _rational_system_solvable(a, b):\n    return a / b\n")
-    assert _unchecked_divisions("m.py", source) == [
+    assert _unchecked_divisions(source) == [
         (2, "f"), (5, "g"), (9, "_rational_system_solvable")]
-    assert _unchecked_divisions("diffmod.py", source) == [(2, "f"), (5, "g")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_true_divisions_are_exact(path):
-    assert _unchecked_divisions(path.name, path.read_text()) == []
+    assert _unchecked_divisions(path.read_text()) == []
 
 
 def _callee(call):
