@@ -36,11 +36,16 @@ from .presentations import (
     Presentation,
     _add_sym,
     _pair_index,
+    check_exact,
+    check_well_defined,
     direct_sum,
     element_is_zero,
     normalize_element,
     ring_as_module,
     symmetric_square,
+    verify_splitting,
+    zero_map,
+    zero_presentation,
 )
 
 
@@ -489,6 +494,22 @@ def splitting_t(derivation: SymmetricDerivation) -> ModuleMap:
     theta = theta_to_first(derivation.ring, 2)
     return ModuleMap(theta.source, derivation.sym, tuple(
         apply_derivation(derivation, col) for col in theta.columns))
+
+
+def _split_sequence(ring: RingSpec, derivation) -> Tuple[List[bool], bool]:
+    """Exactness verdicts for 0 -> S^2(O^1) -> O^2 -> O^1 -> 0 and whether
+    the derivation-built retraction halves back to the identity."""
+    iota = iota_sym_to_omega2(ring)
+    theta = theta_to_first(ring, 2)
+    left = zero_map(zero_presentation(ring), iota.source)
+    right = zero_map(theta.target, zero_presentation(ring))
+    exact = check_exact([left, iota, theta, right])
+    splitting = False
+    if derivation is not None:
+        t = splitting_t(derivation)
+        splitting = check_well_defined(t) and \
+            verify_splitting(iota, t, Fraction(1, 2))
+    return exact, splitting
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,15 @@ def parse_ringspec(text: str) -> RingSpec:
     return _ringspec_from_chunks(*_split_statements(text, _RING_KEYS, "ring file"))
 
 
+def _load_ring(path) -> RingSpec:
+    """The ring in a file; a parse or decode error names the file."""
+    try:
+        with open(path) as fh:
+            return parse_ringspec(fh.read())
+    except (RingParseError, UnicodeDecodeError) as e:
+        raise RingParseError("%s: %s" % (path, e)) from None
+
+
 def parse_presentation_doc(text: str):
     """Parse a presentation document: (RingSpec, labels, relation rows)."""
     chunks, end = _split_statements(text, _PRESENTATION_KEYS, "presentation")

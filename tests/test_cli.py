@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import COMMANDS, _load_corpus, _parse_args, main
+from kahlerlab.cli import COMMANDS, _parse_args, main
 from kahlerlab.parser import parse_presentation_doc
+from kahlerlab.verify import _load_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -57,12 +58,13 @@ def run(capsys, argv):
 
 
 def test_startup_imports_no_verify_only_modules():
-    # every request starts a cold interpreter, so what `import
-    # kahlerlab.cli` loads is paid per request: dataclasses (with inspect)
-    # costs milliseconds, only structured output uses json, and argparse
-    # (with gettext and locale) is not used at all.  Under -S no .pth hook
-    # of `site` preloads importlib.resources or pathlib, which only
-    # verify-paper reads the shipped corpus with.
+    # every request starts a cold interpreter.  It pays for the layers it
+    # reaches (test below) and for every standard module that `import
+    # kahlerlab.cli` loads: dataclasses (with inspect) costs milliseconds,
+    # only structured output uses json, and argparse (with gettext and
+    # locale) is not used at all.  Under -S no .pth hook of `site` preloads
+    # importlib.resources or pathlib, which only verify-paper reads the
+    # shipped corpus with.
     ring = str(REPO / "src" / "kahlerlab" / "corpus" / "cusp.ring")
     script = ("import sys; before = set(sys.modules); import kahlerlab.cli\n"
               "loaded = set(sys.modules)\n"
@@ -82,6 +84,52 @@ def test_startup_imports_no_verify_only_modules():
         assert not set(imported) & {"dataclasses", "inspect", "json"}
         assert not set(requested.split()) & (
             never | {"argparse", "gettext", "locale"}), flags
+
+
+# The layers each request runs; a cold request compiles these and no more.
+_BASE_LAYERS = ("poly", "parser", "groebner", "presentations")
+LAYERS_RUN = {
+    ("rank", "-q", "1", "--module", "omega"): _BASE_LAYERS + ("diffmod",),
+    ("split",): _BASE_LAYERS + ("diffmod",),
+    ("pd", "-q", "1"): _BASE_LAYERS + ("diffmod", "resolution"),
+    ("regular",): _BASE_LAYERS + ("resolution",),
+}
+
+# Imported by `site` before the request, this reports at exit which
+# kahlerlab modules are registered and which of them ran, without reading
+# an attribute of any: a LazyLoader module that has not run is not a plain
+# types.ModuleType.
+LAYER_REPORT = """\
+import atexit, sys, types
+
+@atexit.register
+def report():
+    names = sorted(n for n in sys.modules if n.startswith("kahlerlab."))
+    print("registered:", *names, file=sys.stderr)
+    print("ran:", *[n for n in names
+                    if type(sys.modules[n]) is types.ModuleType],
+          file=sys.stderr)
+"""
+
+
+def test_cold_request_runs_only_its_layers(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(LAYER_REPORT)
+    ring = str(REPO / "src" / "kahlerlab" / "corpus" / "cusp.ring")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), str(REPO / "src")]))
+    registered = " ".join("kahlerlab." + name for name in sorted(
+        _BASE_LAYERS + ("diffmod", "resolution", "properties", "verify")))
+    for argv, layers in LAYERS_RUN.items():
+        # -W error: runpy warns when kahlerlab.cli is in sys.modules before
+        # it runs as __main__, that is, when it would be compiled twice
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kahlerlab.cli", *argv,
+             "--ring", ring], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        report = done.stderr.splitlines()[-2:]
+        assert report == [
+            "registered: " + registered,
+            "ran: " + " ".join("kahlerlab." + n for n in sorted(layers))], argv
 
 
 def test_omega_text_output(capsys, cusp_file):

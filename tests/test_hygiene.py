@@ -4,9 +4,6 @@ every public one is used in the package or the tests, every true
 division is exact, every defaulted parameter is passed somewhere, every
 cache is bounded, and every source and test file parses as Python 3.10,
 the oldest version `pyproject.toml` allows.
-
-`__init__.py` is skipped by the import check: its imports are the
-package's re-exports.
 """
 
 import ast
@@ -16,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kahlerlab"
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -85,7 +82,7 @@ def test_the_check_sees_an_unused_private_def():
 
 
 def test_no_unused_private_defs():
-    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sources = {p.name: p.read_text() for p in MODULES}
     assert _unreferenced_defs(sources) == []
 
 
@@ -226,7 +223,7 @@ def test_the_check_sees_a_parameter_never_passed():
 
 
 def test_every_defaulted_parameter_is_passed():
-    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    defining = [p.read_text() for p in MODULES]
     calling = defining + [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert _never_passed(defining, calling) == []
 
@@ -293,5 +290,5 @@ def test_the_check_sees_a_construct_newer_than_310():
 
 
 def test_sources_parse_as_python_310():
-    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    paths = MODULES + sorted(TESTS.glob("*.py"))
     assert [p.name for p in paths if not _parses_as_310(p.read_text())] == []

@@ -29,6 +29,7 @@ def test_readme_library_example_states_its_values():
     source = _library_block()
     lines = source.splitlines()
     namespace: dict = {}
+    public = {name: getattr(kahlerlab, name) for name in kahlerlab.__all__}
     stated = []
     for node in ast.parse(source).body:
         code = compile(ast.Module([node], []), "README.md", "exec")
@@ -38,6 +39,6 @@ def test_readme_library_example_states_its_values():
         want = _stated_value(lines, node.end_lineno)
         got = eval(compile(ast.Expression(node.value), "README.md", "eval"),
                    namespace)
-        assert got == eval(want, vars(kahlerlab)), (ast.unparse(node), want)
+        assert got == eval(want, public), (ast.unparse(node), want)
         stated.append(want)
     assert stated == ["1", "(2, 1)", "Finite(1)", "(5, 4, 2, 2, 2, 2, 2)"]
