@@ -8,10 +8,11 @@ ranks and projective dimensions with an exact Groebner/syzygy engine.
 Importing the package registers every layer module in sys.modules
 through importlib.util.LazyLoader: a layer is compiled and run when one
 of its names is first read, so a cold `python -m kahlerlab.cli` request
-compiles only the layers it runs.  The public names in __all__ are read
-from their home modules on access (PEP 562).  `cli` is not registered:
-under `-m` it runs as __main__, and runpy would compile a registered
-`kahlerlab.cli` a second time.
+compiles only the layers it runs (`rank` compiles neither `maps` nor
+`derivations`).  The public names in __all__ are read from their home
+modules on access (PEP 562).  `cli` is not registered: under `-m` it
+runs as __main__, and runpy would compile a registered `kahlerlab.cli` a
+second time.
 """
 
 import importlib.util
@@ -23,16 +24,17 @@ _EXPORTS = {
                "parse_ringspec"),
     "groebner": ("NoSolution", "Solution", "krull_dimension", "nf_poly",
                  "solve_linear", "submodule_over_ring", "syzygies_over_ring"),
-    "presentations": ("ModuleMap", "Presentation", "check_exact",
-                      "check_well_defined", "cokernel", "kernel", "rank",
-                      "ring_as_module", "symmetric_square",
-                      "verify_splitting"),
-    "diffmod": ("SymmetricDerivation", "apply_derivation", "delta_expand",
-                "delta_monomials", "iota_sym_to_omega2", "jet_expand",
-                "jets_of_ring", "jq_presentation", "omega_presentation",
-                "splitting_t", "symmetric_derivation_oracle",
-                "symmetric_derivation_solve", "theta_to_first",
-                "theta_to_jets", "validate_symmetric_derivation"),
+    "presentations": ("Presentation", "rank", "ring_as_module",
+                      "symmetric_square"),
+    "maps": ("ModuleMap", "check_exact", "check_well_defined", "cokernel",
+             "kernel", "verify_splitting"),
+    "diffmod": ("delta_expand", "delta_monomials", "jet_expand",
+                "jq_presentation", "omega_presentation"),
+    "derivations": ("SymmetricDerivation", "apply_derivation",
+                    "iota_sym_to_omega2", "jets_of_ring", "splitting_t",
+                    "symmetric_derivation_oracle",
+                    "symmetric_derivation_solve", "theta_to_first",
+                    "theta_to_jets", "validate_symmetric_derivation"),
     "resolution": ("AtLeast", "Finite", "ResolutionReport", "free_resolution",
                    "jacobian_regular", "minimal_resolution",
                    "projective_dimension"),

@@ -15,10 +15,10 @@ did (`--opt V`, `--opt=V`, unique prefixes, `-qN`, `-q=N`; the last repeat
 wins), and -h/--help, which prints to stdout and exits 0.
 
 Every command runs poly, parser, groebner and presentations, whose names
-are imported here.  diffmod, resolution and verify are called through
-their module objects, so a request compiles only those it reaches:
-`regular` never compiles diffmod, and only verify-paper compiles verify
-and properties.
+are imported here.  diffmod, derivations, resolution and verify are
+called through their module objects, so a request compiles only those it
+reaches: `rank` never compiles maps or derivations, `regular` never
+compiles diffmod, and only verify-paper compiles verify and properties.
 
 Exit codes: 0 success, 1 mathematical check failure (verify-paper
 mismatch, solver/oracle disagreement), 2 a usage error (usage and error
@@ -49,7 +49,7 @@ from .parser import (
     statements_text,
 )
 from .presentations import Presentation, rank, ring_as_module, symmetric_square
-from . import diffmod, resolution, verify
+from . import derivations, diffmod, resolution, verify
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +264,27 @@ def _dispatch(args) -> Tuple[str, object, int]:
 
     if command in ("theta", "iota"):
         if command == "iota":
-            phi = diffmod.iota_sym_to_omega2(ring)
+            phi = derivations.iota_sym_to_omega2(ring)
         elif args.target == "first":
-            phi = diffmod.theta_to_first(ring, args.q)
+            phi = derivations.theta_to_first(ring, args.q)
         else:
-            phi = diffmod.theta_to_jets(ring, args.q)
+            phi = derivations.theta_to_jets(ring, args.q)
         return map_text(phi), map_document(phi), 0
 
     if command == "split":
-        out = diffmod.symmetric_derivation_solve(ring, 1)
-        derivation = out if isinstance(out, diffmod.SymmetricDerivation) \
+        out = derivations.symmetric_derivation_solve(ring, 1)
+        derivation = out if isinstance(out, derivations.SymmetricDerivation) \
             else None
-        exact, splitting = diffmod._split_sequence(ring, derivation)
+        exact, splitting = derivations._split_sequence(ring, derivation)
         result = {"derivation_found": derivation is not None,
                   "exact": exact, "splitting": splitting}
         return statements_text(result.items(), ring.order()), result, 0
 
     if command == "symderiv":
-        found = isinstance(diffmod.symmetric_derivation_solve(ring, args.q),
-                           diffmod.SymmetricDerivation)
-        agrees = found == diffmod.symmetric_derivation_oracle(
+        found = isinstance(
+            derivations.symmetric_derivation_solve(ring, args.q),
+            derivations.SymmetricDerivation)
+        agrees = found == derivations.symmetric_derivation_oracle(
             ring, args.q, args.degree_bound)
         result = {"verdict": "found" if found else "not_found",
                   "oracle_agrees": agrees}

@@ -406,22 +406,6 @@ def partial_derivative(h: Polynomial, var_index: int, order: int = 1) -> Polynom
     return _trusted(h.variables, out)
 
 
-def doubled_variables(variables: Sequence[str]) -> Tuple[str, ...]:
-    """Fresh shift-variable names u, v, w, u4, ... avoiding collisions."""
-    used = set(variables)
-    pool = ["u", "v", "w"] + ["u%d" % i for i in range(4, 4 + 2 * len(variables))]
-    fresh: List[str] = []
-    for cand in pool:
-        if len(fresh) == len(variables):
-            break
-        name = cand
-        while name in used:
-            name += "_"
-        fresh.append(name)
-        used.add(name)
-    return tuple(variables) + tuple(fresh)
-
-
 def monomial_text(exps: ExpVec, variables: Sequence[str]) -> str:
     """Render x^alpha ('1' for the empty monomial), explicit * and ^."""
     parts = []

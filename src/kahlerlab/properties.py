@@ -15,7 +15,8 @@ from .parser import (make_ringspec, parse_poly, parse_ringspec, ring_statements,
                      statements_text)
 from .groebner import nf_poly, submodule_over_ring, syzygies_over_ring
 from .diffmod import (_exponent_vectors, _ideal_rows, _omega_rows,
-                      delta_expand, delta_expand_via_products, delta_monomials)
+                      delta_expand, delta_monomials)
+from .derivations import delta_expand_via_products
 
 XY = ("x", "y")
 PLANE = make_ringspec(XY)

@@ -15,22 +15,14 @@ from typing import Dict, Optional
 from .poly import format_polynomial
 from .parser import RingSpec, _load_ring, parse_poly
 from .groebner import submodule_over_ring
-from .presentations import (
-    check_well_defined,
-    cokernel,
-    kernel,
-    presentation_is_zero,
-    rank,
-    symmetric_square,
-)
-from .diffmod import (
+from .presentations import presentation_is_zero, rank, symmetric_square
+from .maps import check_well_defined, cokernel, kernel
+from .diffmod import delta_expand, jq_presentation, omega_presentation
+from .derivations import (
     SymmetricDerivation,
     _split_sequence,
-    delta_expand,
     iota_sym_to_omega2,
     jets_of_ring,
-    jq_presentation,
-    omega_presentation,
     symmetric_derivation_oracle,
     symmetric_derivation_solve,
     theta_to_first,

@@ -15,26 +15,26 @@ from importlib import resources
 from kahlerlab.parser import parse_poly, parse_ringspec
 from kahlerlab.poly import format_polynomial
 from kahlerlab.presentations import (
+    presentation_is_zero,
+    rank,
+    ring_as_module,
+    symmetric_square,
+    zero_presentation,
+)
+from kahlerlab.maps import (
     apply_map,
     check_exact,
     check_well_defined,
     cokernel,
     kernel,
-    presentation_is_zero,
-    rank,
-    ring_as_module,
-    symmetric_square,
     verify_splitting,
     zero_map,
-    zero_presentation,
 )
-from kahlerlab.diffmod import (
+from kahlerlab.diffmod import delta_expand, jq_presentation, omega_presentation
+from kahlerlab.derivations import (
     SymmetricDerivation,
-    delta_expand,
     iota_sym_to_omega2,
     jets_of_ring,
-    jq_presentation,
-    omega_presentation,
     splitting_t,
     symmetric_derivation_oracle,
     symmetric_derivation_solve,

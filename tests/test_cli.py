@@ -88,11 +88,16 @@ def test_startup_imports_no_verify_only_modules():
 
 # The layers each request runs; a cold request compiles these and no more.
 _BASE_LAYERS = ("poly", "parser", "groebner", "presentations")
+_MAP_LAYERS = _BASE_LAYERS + ("diffmod", "maps", "derivations")
 LAYERS_RUN = {
     ("rank", "-q", "1", "--module", "omega"): _BASE_LAYERS + ("diffmod",),
-    ("split",): _BASE_LAYERS + ("diffmod",),
+    ("omega",): _BASE_LAYERS + ("diffmod",),
     ("pd", "-q", "1"): _BASE_LAYERS + ("diffmod", "resolution"),
+    ("resolve",): _BASE_LAYERS + ("diffmod", "resolution"),
     ("regular",): _BASE_LAYERS + ("resolution",),
+    ("theta",): _MAP_LAYERS,
+    ("split",): _MAP_LAYERS,
+    ("symderiv",): _MAP_LAYERS,
 }
 
 # Imported by `site` before the request, this reports at exit which
@@ -118,7 +123,7 @@ def test_cold_request_runs_only_its_layers(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tmp_path), str(REPO / "src")]))
     registered = " ".join("kahlerlab." + name for name in sorted(
-        _BASE_LAYERS + ("diffmod", "resolution", "properties", "verify")))
+        _MAP_LAYERS + ("resolution", "properties", "verify")))
     for argv, layers in LAYERS_RUN.items():
         # -W error: runpy warns when kahlerlab.cli is in sys.modules before
         # it runs as __main__, that is, when it would be compiled twice

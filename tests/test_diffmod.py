@@ -17,34 +17,38 @@ from kahlerlab.parser import (
 from kahlerlab.groebner import NoSolution, nf_poly
 from kahlerlab.poly import Polynomial, partial_derivative
 from kahlerlab.presentations import (
-    apply_map,
-    check_well_defined,
-    cokernel,
-    compose,
     element_is_zero,
-    kernel,
     presentation_is_zero,
     relation_basis,
     ring_as_module,
     symmetric_square,
+)
+from kahlerlab.maps import (
+    apply_map,
+    check_well_defined,
+    cokernel,
+    compose,
+    kernel,
     verify_splitting,
 )
 from kahlerlab.diffmod import (
+    _expansion_coords,
+    _exponent_vectors,
+    delta_expand,
+    delta_monomials,
+    jet_expand,
+    jq_presentation,
+    omega_presentation,
+)
+from kahlerlab.derivations import (
     SymmetricDerivation,
     _back_substitute,
     _rational_system_solvable,
-    _expansion_coords,
-    _exponent_vectors,
     apply_derivation,
     beta_to_sym,
-    delta_expand,
     delta_expand_via_products,
-    delta_monomials,
     iota_sym_to_omega2,
-    jet_expand,
     jets_of_ring,
-    jq_presentation,
-    omega_presentation,
     operator_is_order_at_most,
     splitting_t,
     symmetric_derivation_oracle,

@@ -10,8 +10,8 @@ import pytest
 
 from kahlerlab import groebner
 from kahlerlab.diffmod import (_ideal_rows, _omega_rows, delta_monomials,
-                               jq_presentation, omega_presentation,
-                               theta_to_first)
+                               jq_presentation, omega_presentation)
+from kahlerlab.derivations import theta_to_first
 from kahlerlab.groebner import (
     NoSolution,
     Solution,

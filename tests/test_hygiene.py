@@ -2,8 +2,9 @@
 every module-level private function or class is used in the package,
 every public one is used in the package or the tests, every true
 division is exact, every defaulted parameter is passed somewhere, every
-cache is bounded, and every source and test file parses as Python 3.10,
-the oldest version `pyproject.toml` allows.
+cache is bounded, no layer imports at module level a layer that fewer
+commands run, and every source and test file parses as Python 3.10, the
+oldest version `pyproject.toml` allows.
 """
 
 import ast
@@ -234,8 +235,8 @@ UNBOUNDED_CACHES = {
     ("diffmod.py", "_expansion_coords"),
     ("diffmod.py", "omega_presentation"),
     ("diffmod.py", "jq_presentation"),
-    ("diffmod.py", "iota_sym_to_omega2"),
-    ("diffmod.py", "symmetric_derivation_solve"),
+    ("derivations.py", "iota_sym_to_omega2"),
+    ("derivations.py", "symmetric_derivation_solve"),
     ("resolution.py", "minimal_resolution"),
 }
 
@@ -274,6 +275,62 @@ def test_caches_are_bounded():
     found = {entry for path in MODULES
              for entry in _unbounded_caches(path.name, path.read_text())}
     assert found <= UNBOUNDED_CACHES
+
+
+# A cold request compiles the layers it imports.  The layers that rank,
+# pd and regular run may not import at module level the ones that only
+# the map commands or verify-paper run; verify may not import cli, which
+# under `-m` runs as __main__ and would be compiled a second time.
+_LATE_LAYERS = {"maps", "derivations", "properties", "verify", "cli"}
+FORBIDDEN_IMPORTS = {
+    **dict.fromkeys(("poly", "parser", "groebner", "presentations",
+                     "diffmod", "resolution"), _LATE_LAYERS),
+    "verify": {"cli"},
+}
+
+
+def _forbidden_imports(module, source):
+    """(line, layer) of each kahlerlab layer that source imports outside a
+    function body and that FORBIDDEN_IMPORTS denies to module."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = []
+            if isinstance(child, ast.ImportFrom):
+                base = "kahlerlab" + ("." + child.module if child.module
+                                      else "") if child.level else child.module
+                names = [a.name for a in child.names] \
+                    if base == "kahlerlab" else [base]
+            elif isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            for name in names:
+                layer = name.split(".")[1] if name.startswith("kahlerlab.") \
+                    else name
+                if layer in FORBIDDEN_IMPORTS.get(module, ()):
+                    found.append((child.lineno, layer))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_sees_a_layer_imported_too_early():
+    source = ("from .presentations import rank\nfrom .maps import kernel\n"
+              "from . import diffmod, derivations\nimport kahlerlab.cli\n"
+              "try:\n    from kahlerlab import verify\nexcept ImportError:\n"
+              "    pass\n\ndef late():\n    from .properties import run\n")
+    assert _forbidden_imports("diffmod", source) == [
+        (2, "maps"), (3, "derivations"), (4, "cli"), (6, "verify")]
+    assert _forbidden_imports("verify", source) == [(4, "cli")]
+    assert _forbidden_imports("cli", source) == []
+
+
+def test_layers_import_no_later_layer():
+    assert [(path.name, entry) for path in MODULES
+            for entry in _forbidden_imports(path.stem, path.read_text())] == []
 
 
 def _parses_as_310(source):

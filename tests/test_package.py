@@ -16,16 +16,17 @@ PUBLIC_NAMES = [
     "Presentation", "ResolutionReport", "RingParseError", "RingSpec",
     "Solution", "SymmetricDerivation", "apply_derivation", "check_exact",
     "check_well_defined", "cokernel", "delta_expand", "delta_monomials",
-    "diffmod", "format_polynomial", "free_resolution", "groebner",
-    "iota_sym_to_omega2", "jacobian_regular", "jet_expand", "jets_of_ring",
-    "jq_presentation", "kernel", "krull_dimension", "make_ringspec",
-    "minimal_resolution", "nf_poly", "omega_presentation", "parse_poly",
-    "parse_ringspec", "parser", "partial_derivative", "poly",
-    "presentations", "projective_dimension", "rank", "resolution",
-    "ring_as_module", "solve_linear", "splitting_t", "submodule_over_ring",
-    "symmetric_derivation_oracle", "symmetric_derivation_solve",
-    "symmetric_square", "syzygies_over_ring", "theta_to_first",
-    "theta_to_jets", "validate_symmetric_derivation", "verify_splitting",
+    "derivations", "diffmod", "format_polynomial", "free_resolution",
+    "groebner", "iota_sym_to_omega2", "jacobian_regular", "jet_expand",
+    "jets_of_ring", "jq_presentation", "kernel", "krull_dimension",
+    "make_ringspec", "maps", "minimal_resolution", "nf_poly",
+    "omega_presentation", "parse_poly", "parse_ringspec", "parser",
+    "partial_derivative", "poly", "presentations", "projective_dimension",
+    "rank", "resolution", "ring_as_module", "solve_linear", "splitting_t",
+    "submodule_over_ring", "symmetric_derivation_oracle",
+    "symmetric_derivation_solve", "symmetric_square", "syzygies_over_ring",
+    "theta_to_first", "theta_to_jets", "validate_symmetric_derivation",
+    "verify_splitting",
 ]
 
 

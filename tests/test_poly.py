@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerlab.derivations import doubled_variables
 from kahlerlab.groebner import _vec_to_row
 from kahlerlab.poly import (
     KEY_MEMO_LIMIT,
     ExponentOverflowError,
     MonomialOrder,
     Polynomial,
-    doubled_variables,
     format_polynomial,
     monomial_text,
     partial_derivative,

@@ -15,26 +15,28 @@ from kahlerlab.parser import (
     presentation_text,
 )
 from kahlerlab.presentations import (
-    ModuleMap,
     Presentation,
+    element_is_zero,
+    free_presentation,
+    parse_presentation,
+    presentation_is_zero,
+    rank,
+    ring_as_module,
+    symmetric_square,
+    zero_presentation,
+)
+from kahlerlab.maps import (
+    ModuleMap,
     apply_map,
     check_exact,
     check_well_defined,
     cokernel,
     compose,
     direct_sum,
-    element_is_zero,
-    free_presentation,
     identity_map,
     kernel,
-    parse_presentation,
-    presentation_is_zero,
-    rank,
-    ring_as_module,
-    symmetric_square,
     verify_splitting,
     zero_map,
-    zero_presentation,
 )
 from kahlerlab.resolution import _minor, minimal_presentation, minimal_resolution
 
@@ -90,7 +92,7 @@ def test_presentation_is_a_frozen_record():
 
 def test_record_fields_follow_declaration_order():
     # the fields come from each class's annotations, read at class creation
-    from kahlerlab.diffmod import SymmetricDerivation
+    from kahlerlab.derivations import SymmetricDerivation
     from kahlerlab.groebner import NoSolution, Solution
     from kahlerlab.parser import RingSpec
     from kahlerlab.resolution import AtLeast, Finite, ResolutionReport
