@@ -23,8 +23,9 @@ compiles diffmod, and only verify-paper compiles verify and properties.
 Exit codes: 0 success, 1 mathematical check failure (verify-paper
 mismatch, solver/oracle disagreement), 2 a usage error (usage and error
 on stderr) or an input error, such as a ring file or --basis nested more
-than parser.NESTING_LIMIT brackets deep.  Timing goes to stderr so stdout
-stays byte-identical across repeated runs.
+than parser.NESTING_LIMIT brackets deep, or a ring whose computation
+needs an exponent above poly.EXPONENT_LIMIT.  Timing goes to stderr so
+stdout stays byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .parser import (
     resolution_text,
     statements_text,
 )
+from .poly import ExponentOverflowError
 from .presentations import Presentation, rank, ring_as_module, symmetric_square
 from . import derivations, diffmod, resolution, verify
 
@@ -318,7 +320,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         text, result, code = _dispatch(args)
-    except (RingParseError, ValueError, OSError) as e:
+    except (RingParseError, ExponentOverflowError, ValueError,
+            OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     finally:

@@ -6,16 +6,17 @@ the relation list: membership and normal-form questions are delegated to
 the engine's ideal-augmented routines, so all arithmetic on coefficients
 happens modulo I automatically.
 
-Ranks come from fraction-free elimination: one column-clearing step
-(_clear_column) replaces each row by pivot * row - entry * pivot row,
-reduced modulo I.  Over a domain this keeps the rank over Frac(R), so the
-generic rank of a module is a count of pivots.  The scalar sweep of
-resolution.minimal_presentation uses the same step.
+One routine, _eliminate, does fraction-free elimination: each pivot
+clears its column by row := pivot * row - entry * pivot row, reduced
+modulo I.  Over a domain this keeps the rank over Frac(R), so `rank`
+counts its pivots; the scalar sweep of resolution.minimal_presentation
+and of the minimal chain runs it with constant pivots.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, Record
 from .parser import (RingParseError, RingSpec, parse_label,
@@ -155,53 +156,55 @@ def symmetric_square(m: Presentation) -> Presentation:
 def rank(m: Presentation) -> int:
     """Generic rank of M over the fraction field of R (domain rings only).
 
-    ngens minus the rank of the relation matrix over Frac(R), found by
-    fraction-free elimination with entries reduced modulo I
-    (_matrix_rank); graded and ungraded input take the same path.
+    ngens minus the number of pivots _eliminate takes on the relation
+    matrix, reduced modulo I, picking the sparsest, lowest-degree entry; a
+    pivot is nonzero in R, so each step is invertible over Frac(R).
     """
     if not m.ring.is_domain():
         raise ValueError("rank needs a domain; set assume_domain or drop the ideal")
-    return m.ngens - _matrix_rank(m.relations, m.ring)
+    rows = [tuple(nf_poly(x, m.ring) for x in r) for r in m.relations]
+    return m.ngens - len(_eliminate(rows, _sparsest, m.ring)[1])
 
 
-def _clear_column(rows: Sequence[FreeElement], pivot: FreeElement, b: int,
-                  ring: RingSpec) -> List[FreeElement]:
-    """One fraction-free elimination step against `pivot`, p = pivot[b].
+def _sparsest(rows: Sequence[FreeElement]) -> Optional[Tuple[int, int]]:
+    """(a, b) of the nonzero entry with fewest terms, then lowest degree,
+    then first in row-major order; None when every entry is zero."""
+    best = min(((len(x.terms), x.total_degree(), a, b)
+                for a, r in enumerate(rows)
+                for b, x in enumerate(r) if not x.is_zero()), default=None)
+    return best and best[2:]
 
-    Every row with a nonzero entry c in column b becomes p*row - c*pivot,
-    reduced modulo I; then column b and the zero rows are dropped.
+
+def _eliminate(rows: Sequence[FreeElement],
+               pick: Callable[[List[FreeElement]], Optional[Tuple[int, int]]],
+               ring: RingSpec) -> Tuple[List[FreeElement], List[int]]:
+    """Fraction-free elimination: the rows left and the pivot columns, each
+    an index into the columns left before it.
+
+    While pick(rows) names an entry p = rows[a][b], row a leaves as the
+    pivot (divided by p first when p is a constant), every other row with
+    c = row[b] != 0 becomes p*row - c*pivot, reduced modulo I, and column
+    b and the zero rows are dropped.
     """
-    p = pivot[b]
-    out = []
-    for row in rows:
-        c = row[b]
-        if not c.is_zero():
-            row = tuple(nf_poly(p * x - c * y, ring)
-                        for x, y in zip(row, pivot))
-        row = row[:b] + row[b + 1:]
-        if any(not x.is_zero() for x in row):
-            out.append(row)
-    return out
-
-
-def _matrix_rank(rows: Sequence[Sequence[Polynomial]], ring: RingSpec) -> int:
-    """Rank over the fraction field of the domain R of a matrix given by rows.
-
-    Each step pivots on the sparsest, lowest-degree nonzero entry and
-    clears its column.  A pivot is nonzero in R, so every row operation is
-    invertible over Frac(R); entries are kept reduced modulo I, so the zero
-    test is exact.  The rank is the number of pivots.
-    """
-    rows = [tuple(nf_poly(x, ring) for x in r) for r in rows]
-    rows = [r for r in rows if any(not x.is_zero() for x in r)]
-    count = 0
-    while rows:
-        *_, a, b = min((len(x.terms), x.total_degree(), a, b)
-                       for a, r in enumerate(rows)
-                       for b, x in enumerate(r) if not x.is_zero())
+    rows, pivots = list(rows), []
+    while True:
+        hit = pick(rows)
+        if hit is None:
+            return rows, pivots
+        a, b = hit
         pivot = rows.pop(a)
-        rows = _clear_column(rows, pivot, b, ring)
-        count += 1
-    return count
-
-
+        if pivot[b].is_constant():
+            scale = Fraction(1) / pivot[b].constant_term()
+            pivot = tuple(y.scale(scale) for y in pivot)
+        p = pivot[b]
+        out = []
+        for row in rows:
+            c = row[b]
+            if not c.is_zero():
+                row = tuple(nf_poly(p * x - c * y, ring)
+                            for x, y in zip(row, pivot))
+            row = row[:b] + row[b + 1:]
+            if any(not x.is_zero() for x in row):
+                out.append(row)
+        rows = out
+        pivots.append(b)

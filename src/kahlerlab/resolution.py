@@ -7,16 +7,16 @@ chain stops at the first zero syzygy module or at the cutoff.
 
 minimal_resolution(m, cutoff) is built once per (module, cutoff) and
 cached: it starts from minimal_presentation and sweeps scalar pivots at
-every level, since a nonzero constant entry in a step matrix certifies
-that one generator of the level below is an R-combination of the others,
-so the pivot row, its column, and that generator are removed.  It never
-builds the raw resolution.  The chain is read at the origin, which must
-lie on V(I) (no ideal generator has a nonzero constant term, else the
-build raises); when every surviving entry vanishes there, its Betti
-numbers are the minimal ones, graded or not.  If a unit that is not an
-exact constant survives, the elimination is incomplete and the build
-raises instead of guessing.  Callers pass the cutoff positionally, so the
-cache holds one entry per (module, cutoff).
+every level with presentations._eliminate, since a nonzero constant entry
+in a step matrix certifies that one generator of the level below is an
+R-combination of the others, so the pivot row, its column, and that
+generator are removed.  It never builds the raw resolution.  The chain is
+read at the origin, which must lie on V(I) (no ideal generator has a
+nonzero constant term, else the build raises); when every surviving entry
+vanishes there, its Betti numbers are the minimal ones, graded or not.
+If a unit that is not an exact constant survives, the elimination is
+incomplete and the build raises instead of guessing.  Callers pass the
+cutoff positionally, so the cache holds one entry per (module, cutoff).
 
 projective_dimension reads its verdict off the minimal chain alone:
 Finite at the last nonzero step when the chain terminates, AtLeast(cutoff)
@@ -25,17 +25,16 @@ when the cutoff cut it short.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Coeff, Polynomial, Record, partial_derivative
+from .poly import Polynomial, Record, partial_derivative
 from .parser import RingSpec
 from .groebner import (FreeElement, _grading, krull_dimension, nf_poly,
                        prune_rows, row_lead_key, submodule_over_ring,
                        syzygies_over_ring)
-from .presentations import Presentation, _clear_column
+from .presentations import Presentation, _eliminate
 
 Matrix = Tuple[Tuple[Polynomial, ...], ...]
 
@@ -63,14 +62,12 @@ class AtLeast(Record):
         return "pd >= %d" % self.value
 
 
-def _scalar(p: Polynomial) -> Optional[Coeff]:
-    """The value of a nonzero constant polynomial, else None."""
-    if len(p.terms) != 1:
-        return None
-    (exps, coeff), = p.terms.items()
-    if any(exps):
-        return None
-    return coeff
+def _first_constant(rows: Sequence[FreeElement]) -> Optional[Tuple[int, int]]:
+    """(a, b) of the first nonzero constant entry in row-major order, else
+    None."""
+    return next(((a, b) for a, row in enumerate(rows)
+                 for b, entry in enumerate(row)
+                 if not entry.is_zero() and entry.is_constant()), None)
 
 
 def _sweep_pair(upper: Sequence[FreeElement], lower: Sequence,
@@ -79,25 +76,15 @@ def _sweep_pair(upper: Sequence[FreeElement], lower: Sequence,
 
     `lower` is any sequence indexed parallel to `upper`'s columns (step
     matrix rows, or generator indices at the bottom level).  A constant
-    entry upper[a][b] says lower[b] is an R-combination of the rest: row a,
-    scaled to a unit pivot, clears column b of the other rows
-    (presentations._clear_column, which also drops column b and the zero
-    rows), then row a and entry b of `lower` are dropped.
+    entry upper[a][b] says lower[b] is an R-combination of the rest:
+    presentations._eliminate takes row a as a unit pivot and clears
+    column b, and entry b of `lower` is dropped with it.
     """
-    upper = list(upper)
+    upper, pivots = _eliminate(upper, _first_constant, ring)
     lower = list(lower)
-    while True:
-        hit = next(((a, b) for a, row in enumerate(upper)
-                    for b, entry in enumerate(row)
-                    if _scalar(entry) is not None), None)
-        if hit is None:
-            return upper, lower
-        a, b = hit
-        pivot = upper.pop(a)
-        pv = _scalar(pivot[b])
-        unit = tuple(y.scale(Fraction(1) / pv) for y in pivot)
-        upper = _clear_column(upper, unit, b, ring)
+    for b in pivots:
         del lower[b]
+    return upper, lower
 
 
 def _chain(rows: Sequence[FreeElement], ring: RingSpec, cutoff: int,

@@ -372,6 +372,16 @@ def test_exponent_overflow_is_a_parse_error(capsys, tmp_path, ideal, column,
             % (exponent, column)) in err
 
 
+def test_exponent_overflow_during_a_request_is_an_input_error(capsys,
+                                                              tmp_path):
+    # the ring parses, but Omega^(2) multiplies x^1000000000 - y by x
+    path = tmp_path / "big.ring"
+    path.write_text("vars = [x, y];\nideal = [x^1000000000 - y];\n")
+    code, out, err = run(capsys, ["omega", "--ring", str(path), "-q", "2"])
+    assert code == 2 and out == ""
+    assert "error: exponent 1000000001 exceeds limit\n" in err
+
+
 def test_deep_nesting_is_an_input_error(capsys, tmp_path, cusp_file):
     path = tmp_path / "deep.ring"
     path.write_text("vars = [x];\nideal = [%sx%s];\n" % ("(" * 250, ")" * 250))

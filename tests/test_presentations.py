@@ -38,7 +38,8 @@ from kahlerlab.maps import (
     verify_splitting,
     zero_map,
 )
-from kahlerlab.resolution import _minor, minimal_presentation, minimal_resolution
+from kahlerlab.resolution import (_minor, free_resolution, minimal_presentation,
+                                  minimal_resolution)
 
 PLANE = make_ringspec(("x", "y"))
 CUSP = parse_ringspec(
@@ -384,6 +385,39 @@ def test_minimal_chain_rejects_a_unit_that_is_not_constant():
     assert minimal_presentation(ok).ngens == 2
 
 
+def _corpus_ring(name):
+    return parse_ringspec(resources.files("kahlerlab").joinpath(
+        "corpus", name + ".ring").read_text())
+
+
+SWEEP_CHECK_MODULES = {
+    "omega": lambda ring, q: omega_presentation(ring, q),
+    "sym2:omega": lambda ring, q: symmetric_square(omega_presentation(ring, q)),
+    "jets:omega": lambda ring, q: jq_presentation(omega_presentation(ring, q), q),
+}
+
+
+@pytest.mark.parametrize("module", sorted(SWEEP_CHECK_MODULES))
+@pytest.mark.parametrize("name, q", [
+    ("cusp", 1), ("cusp", 2), ("poly2", 1), ("poly2", 2),
+    ("poly1", 1), ("poly3", 1), ("ex316", 1)])
+def test_minimal_betti_numbers_match_the_constant_ranks(name, q, module):
+    # The origin lies on V(I), so evaluation there is a ring map R -> Q, and
+    # for any free resolution F of M, beta_i = rank F_i - rank_Q d_i(0) -
+    # rank_Q d_(i+1)(0) (Eisenbud, The Geometry of Syzygies, ch. 1).  Read
+    # off the raw chain, this checks the scalar sweep without running it.
+    c = 3
+    m = SWEEP_CHECK_MODULES[module](_corpus_ring(name), q)
+    raw = free_resolution(m, c + 1)
+    ranks = [0] + [_rational_rank([[Fraction(x.constant_term()) for x in row]
+                                   for row in step]) for step in raw.steps]
+    ranks += [0] * (c + 2 - len(ranks))
+    free = list(raw.betti) + [0] * (c + 1 - len(raw.betti))
+    betti = list(minimal_resolution(m, c).betti)
+    assert betti + [0] * (c + 1 - len(betti)) == [
+        free[i] - ranks[i] - ranks[i + 1] for i in range(c + 1)]
+
+
 def test_parse_presentation_round_trip():
     text = """
 vars = [x, y];
@@ -409,9 +443,7 @@ ROUND_TRIP_MODULES = {
 @pytest.mark.parametrize("name", ["poly2", "cusp", "ex316"])
 def test_presentation_text_parses_back(name, module):
     # the d, D[...]() and s(,) labels and relation matrices parse back
-    ring = parse_ringspec(resources.files("kahlerlab").joinpath(
-        "corpus", name + ".ring").read_text())
-    m = ROUND_TRIP_MODULES[module](ring)
+    m = ROUND_TRIP_MODULES[module](_corpus_ring(name))
     back = parse_presentation(presentation_text(m))
     assert (back.ring, back.generators, back.relations) == \
         (m.ring, m.generators, m.relations)

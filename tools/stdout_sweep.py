@@ -39,9 +39,11 @@ EXTRA_RINGS = {
     "xy": "vars = [x, y];\nideal = [x*y];\n",
     "weighted": "vars = [x, y, z];\nweights = [1, 2, 3];\n"
                 "ideal = [x*z - y^2];\nassume_domain = true;\n",
+    # the scalar sweep clears every generator: pd = 0, rank = 0
+    "point": "vars = [x];\nideal = [x];\nassume_domain = true;\n",
 }
 # rings swept at q = 1 alone; EX316_Q2 adds five ex316 requests at q = 2
-Q1_ONLY = ("ex316", "weighted")
+Q1_ONLY = ("ex316", "weighted", "point")
 SELECTORS = ("omega", "jets:omega", "sym2:omega", "jets:ring")
 EX316_Q2 = (
     ("omega", "--ring", "ex316.ring", "-q", "2"),
