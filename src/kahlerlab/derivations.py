@@ -7,7 +7,7 @@ the Leibniz rule on every relation and returns the SymmetricDerivation it
 found or the engine's NoSolution certificate.  A first-order derivation D
 gives the retraction t = D∘theta of Omega^(2) onto S^2(Omega^1).  An
 independent bounded-degree oracle double-checks the verdict without the
-Groebner engine.
+Groebner engine, by the one fraction-free Q-elimination, _rational_rank.
 
 delta_expand_via_products finds diffmod's expansion coordinates by
 another route, truncated products and a triangular solve; the derivation
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from operator import sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -310,12 +310,12 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
     Looks for polynomial generator images, relation-span multipliers and
     ideal multipliers making the Leibniz constraint an exact polynomial
     identity; the search is a Q-linear system over a bounded monomial
-    ansatz, solved by sparse forward elimination.  When the ring is homogeneous
-    for its grading (x_i has its declared weight, or 1) and so are all
-    relation rows, each unknown is sought in its exact degree: every known
-    term of the identity is homogeneous, so the right-degree part of any
-    solution is a solution.  Otherwise the ansatz is all monomials of
-    total degree <= degree_bound."""
+    ansatz, decided by the fraction-free elimination _rational_rank.  When
+    the ring is homogeneous for its grading (x_i has its declared weight,
+    or 1) and so are all relation rows, each unknown is sought in its exact
+    degree: every known term of the identity is homogeneous, so the
+    right-degree part of any solution is a solution.  Otherwise the ansatz
+    is all monomials of total degree <= degree_bound."""
     omega = omega_presentation(ring, q)
     if not omega.relations:
         return True
@@ -386,7 +386,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
         if key not in eq_index:
             eq_index[key] = len(rows)
             rows.append({})
-            rhs.append(Fraction(0))
+            rhs.append(0)
         return rows[eq_index[key]]
 
     def add_term(rho, c, tag, multiplier: Polynomial):
@@ -394,7 +394,7 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
             for exps, coeff in multiplier.terms.items():
                 prod_e = tuple(a + b for a, b in zip(exps, e))
                 row = eq_row(rho, c, prod_e)
-                row[col] = row.get(col, Fraction(0)) + coeff
+                row[col] = row.get(col, 0) + coeff
 
     for rho, m in enumerate(omega.relations):
         for c in range(nsym):
@@ -410,34 +410,38 @@ def symmetric_derivation_oracle(ring: RingSpec, q: int = 1,
             for j, f in enumerate(ring.ideal):
                 add_term(rho, c, ("ideal", rho, c, j), f)
 
-    return _rational_system_solvable(rows, rhs)
+    return _rational_rank(rows, rhs) is not None
 
 
-def _rational_system_solvable(rows: List[Dict[int, Fraction]],
-                              rhs: List[Fraction]) -> bool:
-    """Sparse forward elimination over Q; True when Ax = b has a solution.
-
-    A row is reduced at its lowest column while a pivot row leads there,
-    then kept, scaled to a leading 1, as that column's pivot row.  Ax = b
-    has no solution exactly when a row reduces to its right side alone."""
-    pivots: Dict[int, Tuple[Dict[int, Fraction], Fraction]] = {}
+def _rational_rank(rows: Sequence[Dict[int, Fraction]],
+                   rhs: Sequence[Fraction]) -> Optional[int]:
+    """Fraction-free sparse elimination over Q: the rank of A when Ax = b
+    is solvable, else None.  Each row is cleared of denominators; while a
+    pivot leads at its lowest column, with entries p and c there and g =
+    gcd(p, c), it becomes (p/g)*row - (c/g)*pivot.  Rows stay coprime ints.
+    Ax = b has no solution when a row reduces to its right side alone."""
+    pivots: Dict[int, Tuple[Dict[int, int], int]] = {}
     for row, b in zip(rows, rhs):
-        row = {c: v for c, v in row.items() if v}
-        col = min(row, default=None)
-        while col in pivots:
-            pivot, pb = pivots[col]
-            f = row[col]
-            for c, v in pivot.items():
-                row[c] = row.get(c, 0) - f * v
-            row = {c: v for c, v in row.items() if v}
-            b -= f * pb
+        den = lcm(b.denominator, *(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        b = b.numerator * (den // b.denominator)
+        while True:
+            g = gcd(b, *row.values()) or 1
+            row, b = {c: v // g for c, v in row.items() if v}, b // g
             col = min(row, default=None)
+            if col not in pivots:
+                break
+            pivot, pb = pivots[col]
+            g = gcd(pivot[col], row[col])
+            p, f = pivot[col] // g, row[col] // g
+            row = {c: p * row.get(c, 0) - f * pivot.get(c, 0)
+                   for c in row.keys() | pivot.keys()}
+            b = p * b - f * pb
         if row:
-            pivots[col] = ({c: Fraction(v, row[col]) for c, v in row.items()},
-                           Fraction(b, row[col]))
+            pivots[col] = (row, b)
         elif b:
-            return False
-    return True
+            return None
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

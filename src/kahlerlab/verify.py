@@ -39,16 +39,18 @@ from . import properties
 
 
 def _kernel_matches_image(ring: RingSpec) -> bool:
-    """kernel(theta) == image(iota) as submodules of Omega^2."""
+    """kernel(theta) == image(iota) as submodules of Omega^2: both spans
+    hold the relations of Omega^2."""
     iota = iota_sym_to_omega2(ring)
     theta = theta_to_first(ring, 2)
     ker, incl = kernel(theta)
-    image = submodule_over_ring(list(iota.columns), iota.target.ngens, ring)
+    relations = list(theta.source.relations)
+    image = submodule_over_ring(list(iota.columns) + relations,
+                                iota.target.ngens, ring)
     if not all(image.contains(col) for col in incl.columns):
         return False
-    span = submodule_over_ring(
-        list(incl.columns) + list(theta.source.relations),
-        theta.source.ngens, ring)
+    span = submodule_over_ring(list(incl.columns) + relations,
+                               theta.source.ngens, ring)
     return all(span.contains(col) for col in iota.columns)
 
 

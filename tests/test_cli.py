@@ -521,6 +521,16 @@ def test_symderiv_q2_on_ex316_finishes(capsys):
     assert "oracle_agrees = true;" in out
 
 
+@pytest.mark.parametrize("q", ["1", "2"])
+def test_symderiv_on_k_t3_t4_t5(capsys, tmp_path, q):
+    # a curve that is not a complete intersection: three quadrics cut it out
+    path = tmp_path / "t345.ring"
+    path.write_text("vars = [x, y, z]; weights = [3, 4, 5]; assume_domain = "
+                    "true; ideal = [y^2 - x*z, x^3 - y*z, z^2 - x^2*y];\n")
+    code, out, _ = run(capsys, ["symderiv", "--ring", str(path), "-q", q])
+    assert (code, out) == (0, "verdict = not_found;\noracle_agrees = true;\n")
+
+
 # Requests outside perfbench/expected.json whose stdout the symmetric
 # square, the derivation solver and the split sequence decide, then one
 # request for each statement writer path no other digest covers.

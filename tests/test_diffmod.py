@@ -43,7 +43,7 @@ from kahlerlab.diffmod import (
 from kahlerlab.derivations import (
     SymmetricDerivation,
     _back_substitute,
-    _rational_system_solvable,
+    _rational_rank,
     apply_derivation,
     beta_to_sym,
     delta_expand_via_products,
@@ -57,6 +57,7 @@ from kahlerlab.derivations import (
     theta_to_jets,
     validate_symmetric_derivation,
 )
+from kahlerlab.verify import _kernel_matches_image
 
 PLANE = make_ringspec(("x", "y"))
 LINE = make_ringspec(("x",))
@@ -375,6 +376,14 @@ def test_splitting_t_retracts_iota():
     assert verify_splitting(iota, t, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("ring", [CUSP, EX316, CIRCLE],
+                         ids=["cusp", "ex316", "circle"])
+def test_kernel_of_theta_is_the_image_of_iota(ring):
+    # Omega^(2) is not free: ker(theta) lies in im(iota) modulo its relations
+    assert omega_presentation(ring, 2).relations
+    assert _kernel_matches_image(ring)
+
+
 def test_theta_to_jets_line():
     theta = theta_to_jets(LINE, 1)
     cols = [tuple(_pf(c) for c in col) for col in theta.columns]
@@ -464,7 +473,7 @@ def test_circle_oracle_agrees_with_the_solver(degree_bound):
 
 def _dense_system_solvable(rows, rhs, ncols):
     """Dense Gauss-Jordan elimination over Q, the oracle's former solver,
-    kept as the reference for the sparse one."""
+    kept as the reference: whether Ax = b is solvable, and the rank of A."""
     m = [[Fraction(row.get(c, 0)) for c in range(ncols)] + [Fraction(b)]
          for row, b in zip(rows, rhs)]
     r = 0
@@ -483,7 +492,7 @@ def _dense_system_solvable(rows, rhs, ncols):
         if r == len(m):
             break
     return not any(all(a == 0 for a in row[:-1]) and row[-1] != 0
-                   for row in m)
+                   for row in m), r
 
 
 def _seeded_system(rng, consistent):
@@ -512,20 +521,20 @@ def _seeded_system(rng, consistent):
 
 def test_sparse_system_solver_matches_the_dense_reference():
     """Seeded consistent and inconsistent systems, and systems with a
-    random right-hand side: the verdict of the dense reference."""
+    random right-hand side: the dense reference's verdict, and its rank
+    where the system is solvable."""
     rng = random.Random(2801)
     verdicts = []
     for i in range(400):
         if i % 3 < 2:
             rows, rhs, ncols = _seeded_system(rng, consistent=i % 3 == 0)
-            want = i % 3 == 0
         else:
             rows, _, ncols = _seeded_system(rng, consistent=True)
             rhs = [rng.randrange(-2, 3) for _ in rows]
-            want = _dense_system_solvable(rows, rhs, ncols)
-        assert _dense_system_solvable(rows, rhs, ncols) == want
-        assert _rational_system_solvable(rows, rhs) == want
-        verdicts.append(want)
+        solvable, rank = _dense_system_solvable(rows, rhs, ncols)
+        assert i % 3 == 2 or solvable == (i % 3 == 0)
+        assert _rational_rank(rows, rhs) == (rank if solvable else None)
+        verdicts.append(solvable)
     assert 100 < sum(verdicts) < 300
 
 

@@ -41,17 +41,23 @@ EXTRA_RINGS = {
                 "ideal = [x*z - y^2];\nassume_domain = true;\n",
     # the scalar sweep clears every generator: pd = 0, rank = 0
     "point": "vars = [x];\nideal = [x];\nassume_domain = true;\n",
+    # k[t^3, t^4, t^5], a curve that is not a complete intersection
+    "t345": "vars = [x, y, z];\nweights = [3, 4, 5];\n"
+            "ideal = [y^2 - x*z, x^3 - y*z, z^2 - x^2*y];\n"
+            "assume_domain = true;\n",
 }
-# rings swept at q = 1 alone; EX316_Q2 adds five ex316 requests at q = 2
-Q1_ONLY = ("ex316", "weighted", "point")
+# rings swept at q = 1 alone; EXTRA_Q2 adds five ex316 requests and one
+# t345 request at q = 2
+Q1_ONLY = ("ex316", "weighted", "point", "t345")
 SELECTORS = ("omega", "jets:omega", "sym2:omega", "jets:ring")
-EX316_Q2 = (
+EXTRA_Q2 = (
     ("omega", "--ring", "ex316.ring", "-q", "2"),
     ("sym2", "--ring", "ex316.ring", "-q", "2"),
     ("theta", "--ring", "ex316.ring", "-q", "2", "--target", "first"),
     ("symderiv", "--ring", "ex316.ring", "-q", "2"),
     ("pd", "--ring", "ex316.ring", "-q", "2", "--module", "omega",
      "--cutoff", "3"),
+    ("symderiv", "--ring", "t345.ring", "-q", "2"),
 )
 
 
@@ -68,7 +74,7 @@ def _requests() -> List[Tuple[str, ...]]:
                     for command in ("resolve", "pd") for s in SELECTORS]
             out += [("rank", *args, "--module", s) for s in SELECTORS]
         out += [(command, *ring) for command in ("iota", "split", "regular")]
-    out += [*EX316_Q2, ("verify-paper",)]
+    out += [*EXTRA_Q2, ("verify-paper",)]
     return [(*argv, "--format", f) for argv in out
             for f in ("text", "structured")]
 
