@@ -319,11 +319,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # Polynomial first: Fraction's ABCMeta makes its isinstance test slow
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
+        other = self._coerce(other)
         out: Dict[ExpVec, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -1,8 +1,10 @@
 """Randomized property suites.
 
-Each run_* function executes `cases` independent randomized checks drawn
-from the given Random instance and returns the number of checks executed.
-They are shared between the regular test run (small case counts), the
+Each run_* function draws `cases` independent randomized inputs from the
+given Random instance and returns the number of cases it counted.  A check
+whose input equals one already checked in the same run is counted and not
+recomputed: the draws, and so every later input, stay the same.  They are
+shared between the regular test run (small case counts), the
 acceptance gate (hundreds of cases per suite), and the CLI verification
 command.
 """
@@ -85,19 +87,24 @@ def run_groebner_properties(rng: random.Random, cases: int) -> int:
 
 
 def run_parser_round_trips(rng: random.Random, cases: int) -> int:
-    """format -> parse is the identity on polynomials and ring documents."""
+    """format -> parse is the identity on polynomials and ring documents.
+
+    The two ring documents are fixed, so each is round-tripped once; every
+    case still draws which of the two rings its polynomial lives in.
+    """
+    for ring in (PLANE, CUSP):
+        text = statements_text(ring_statements(ring), ring.order())
+        assert parse_ringspec(text) == ring
     done = 0
     for _ in range(cases):
         p = _random_poly(rng, max_deg=4, max_terms=4)
         assert parse_poly(format_polynomial(p), PLANE) == p
         weighted = rng.random() < 0.5
         ring = CUSP if weighted else PLANE
-        q = parse_poly(format_polynomial(_random_poly(rng), ring.order()), ring)
-        assert format_polynomial(q, ring.order()) == \
-            format_polynomial(parse_poly(format_polynomial(q, ring.order()), ring),
-                              ring.order())
-        text = statements_text(ring_statements(ring), ring.order())
-        assert parse_ringspec(text) == ring
+        order = ring.order()
+        q = parse_poly(format_polynomial(_random_poly(rng), order), ring)
+        text = format_polynomial(q, order)
+        assert text == format_polynomial(parse_poly(text, ring), order)
         done += 1
     return done
 
@@ -135,9 +142,14 @@ def run_leibniz_identity(rng: random.Random, cases: int) -> int:
 
 
 def run_relation_set_equivalence(rng: random.Random, cases: int) -> int:
-    """Shifted relation rows with |beta| = q add nothing beyond |beta| < q."""
+    """Shifted relation rows with |beta| = q add nothing beyond |beta| < q.
+
+    A drawn `(ring, q)` equal to one already checked is counted, and its
+    span is not rebuilt.
+    """
     done = 0
     pool = [CUSP, SQUARE]
+    seen = set()
     while done < cases:
         which = rng.randrange(len(pool) + 1)
         if which < len(pool):
@@ -148,13 +160,16 @@ def run_relation_set_equivalence(rng: random.Random, cases: int) -> int:
                 continue
             ring = make_ringspec(XY, ideal=(f,))
         q = rng.choice((1, 2))
+        done += 1
+        if (ring, q) in seen:
+            continue
+        seen.add((ring, q))
         monomials = delta_monomials(ring, q)
         span = submodule_over_ring(_omega_rows(ring, q, monomials),
                                    len(monomials), ring)
         top = _exponent_vectors(len(ring.variables), q, q)
         for (g,) in _ideal_rows(1, top, ring):
             assert span.contains(delta_expand(g, ring, q))
-        done += 1
     return done
 
 
